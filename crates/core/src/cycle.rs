@@ -4,7 +4,7 @@
 
 use cyclesql_benchgen::BenchmarkItem;
 use cyclesql_explain::{
-    generate_explanation, sql_to_nl, Explanation, ExplanationFacets, Sql2NlExplanation,
+    generate_explanation, sql_to_nl, Explanation, ExplanationFacets, RunCache, Sql2NlExplanation,
 };
 use cyclesql_models::{Candidate, PreparedCandidate};
 use cyclesql_nli::{
@@ -15,7 +15,7 @@ use cyclesql_obs::{Span, SpanCtx};
 use cyclesql_provenance::{track_provenance, Provenance, ProvenanceTable};
 use cyclesql_sql::{parse, Query};
 use cyclesql_storage::{compile, execute, Database, ExecOpts, ResultSet};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Which feedback channel the loop uses (Figure 9's comparison).
@@ -93,70 +93,6 @@ impl StageTimings {
     }
 }
 
-/// One candidate execution as a serving cache keeps it: the result, plus
-/// the data-grounded explanation of its first row once some loop run has
-/// built it. Both are functions of the database and the canonical SQL
-/// alone — the question only enters at the verifier — so one entry serves
-/// every request that examines the query.
-#[derive(Debug)]
-pub struct CachedRun {
-    /// The query's result on its database.
-    pub result: Arc<ResultSet>,
-    /// The explanation, built at most once per entry.
-    pub explanation: OnceLock<Arc<Explanation>>,
-}
-
-impl CachedRun {
-    /// An entry whose explanation is not built yet.
-    pub fn new(result: Arc<ResultSet>) -> Self {
-        CachedRun {
-            result,
-            explanation: OnceLock::new(),
-        }
-    }
-
-    /// The entry's explanation, built by `make` on the first call only
-    /// (concurrent callers wait for that one build), and whether it was
-    /// already memoized.
-    pub fn explanation_or_init(
-        &self,
-        make: impl FnOnce() -> Explanation,
-    ) -> (Arc<Explanation>, bool) {
-        let mut built = false;
-        let e = self.explanation.get_or_init(|| {
-            built = true;
-            Arc::new(make())
-        });
-        (Arc::clone(e), !built)
-    }
-}
-
-/// The serving hook for candidate executions ([`RunControls::cache`]): one
-/// entry per (database, canonical SQL) holds the result and the
-/// explanation, so a candidate's key is computed and looked up once for
-/// both.
-pub trait RunCache: Sync {
-    /// The cached run of `query` on `db` and whether the lookup hit; a miss
-    /// compiles and runs the query under `opts`. `None` records a query
-    /// that fails to compile or run.
-    fn run(
-        &self,
-        db: &Database,
-        query: &Query,
-        opts: &ExecOpts<'_>,
-    ) -> (Option<Arc<CachedRun>>, bool);
-
-    /// `run`'s explanation, built by `make` unless an earlier run built it,
-    /// and whether it was memoized. Implementations may tally the outcome.
-    fn explanation(
-        &self,
-        run: &CachedRun,
-        make: &mut dyn FnMut() -> Explanation,
-    ) -> (Arc<Explanation>, bool) {
-        run.explanation_or_init(make)
-    }
-}
-
 /// Per-run controls injected by serving callers: a deadline that abandons
 /// the candidate loop cleanly mid-iteration, a run cache that lets
 /// repeated queries skip execution and explanation, and a tracing context
@@ -165,8 +101,10 @@ pub trait RunCache: Sync {
 pub struct RunControls<'a> {
     /// Abandon the loop once this instant passes (checked between stages).
     pub deadline: Option<Instant>,
-    /// Cache of candidate runs (result and explanation); `None` compiles,
-    /// runs and explains each candidate.
+    /// Cache of candidate runs (result and explanation) for candidates
+    /// that carry no run of their own, keyed by each candidate's text
+    /// (which must parse to its AST); `None` compiles, runs and explains
+    /// each such candidate.
     pub cache: Option<&'a dyn RunCache>,
     /// Tracing context. When enabled, each candidate iteration opens a
     /// `cycle` child span with `execute` / `provenance` / `explain` /
@@ -176,7 +114,8 @@ pub struct RunControls<'a> {
     /// Collect an EXPLAIN ANALYZE operator profile per traced candidate
     /// execution and attach it to the `execute` stage span. Ignored when
     /// `span` is disabled; the candidate still executes exactly once, for
-    /// real, bypassing `cache` (its explanation is built, not memoized).
+    /// real, bypassing `cache` and any run the candidate carries (its
+    /// explanation is built, not memoized).
     pub analyze: bool,
     /// Intra-query morsel workers per candidate execution. `0` or `1`
     /// executes single-threaded; serving callers derive this from their
@@ -251,6 +190,7 @@ impl CycleSql {
             .map(|c| PreparedCandidate {
                 sql: c.sql.clone(),
                 ast: parse(&c.sql).ok().map(Arc::new),
+                run: None,
                 rank: c.rank,
                 score: c.score,
             })
@@ -336,15 +276,21 @@ impl CycleSql {
             };
             let analyze = controls.analyze && exec_span.is_some();
             let mut profile = None;
-            // The candidate's cache entry serves both its execute and, below,
-            // its explanation.
-            let (executed, run, result_cached) = match controls.cache {
-                Some(cache) if !analyze => {
-                    let (run, hit) = cache.run(db, query, &opts);
+            // The candidate's run — carried from the simulator's validation
+            // lookup, or else looked up by its text — serves both its
+            // execute and, below, its explanation.
+            let cached = match (&cand.run, controls.cache) {
+                _ if analyze => None,
+                (Some(run), _) => Some((Some(Arc::clone(run)), true)),
+                (None, Some(cache)) => Some(cache.run(db, &cand.sql, query, &opts)),
+                (None, None) => None,
+            };
+            let (executed, run, result_cached) = match cached {
+                Some((run, hit)) => {
                     let executed = run.as_ref().map(|r| Arc::clone(&r.result)).ok_or(None);
                     (executed, run, hit)
                 }
-                _ => {
+                None => {
                     let executed = compile(db, query)
                         .and_then(|c| {
                             if analyze {
@@ -413,7 +359,8 @@ impl CycleSql {
                         };
                         let (e, cached) = match (controls.cache, &run) {
                             (Some(cache), Some(run)) => cache.explanation(run, &mut make),
-                            _ => (Arc::new(make()), false),
+                            (None, Some(run)) => run.explanation_or_init(make),
+                            (_, None) => (Arc::new(make()), false),
                         };
                         if cached {
                             // A memoized explanation skips both stages; their
@@ -859,6 +806,7 @@ mod more_loop_tests {
 mod control_tests {
     use super::*;
     use crate::experiments::ExperimentContext;
+    use cyclesql_explain::CachedRun;
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
@@ -869,6 +817,7 @@ mod control_tests {
             .map(|(i, s)| PreparedCandidate {
                 sql: (*s).to_string(),
                 ast: parse(s).ok().map(Arc::new),
+                run: None,
                 rank: i,
                 score: 1.0 - i as f64 * 0.1,
             })
@@ -929,18 +878,17 @@ mod control_tests {
         fn run(
             &self,
             db: &Database,
+            sql: &str,
             query: &Query,
-            _opts: &ExecOpts<'_>,
+            opts: &ExecOpts<'_>,
         ) -> (Option<Arc<CachedRun>>, bool) {
             self.lookups.fetch_add(1, Ordering::Relaxed);
-            let key = format!("{}|{}", db.schema.name, cyclesql_sql::to_sql(query));
+            let key = format!("{}|{sql}", db.schema.name);
             let mut entries = self.entries.lock().unwrap();
             let hit = entries.contains_key(&key);
-            let run = entries.entry(key).or_insert_with(|| {
-                execute(db, query)
-                    .ok()
-                    .map(|r| Arc::new(CachedRun::new(Arc::new(r))))
-            });
+            let run = entries
+                .entry(key)
+                .or_insert_with(|| CachedRun::execute(db, query, opts));
             (run.clone(), hit)
         }
 
@@ -1072,6 +1020,7 @@ mod tracing_tests {
             .map(|(i, s)| PreparedCandidate {
                 sql: (*s).to_string(),
                 ast: parse(s).ok().map(Arc::new),
+                run: None,
                 rank: i,
                 score: 1.0 - i as f64 * 0.1,
             })

@@ -38,10 +38,10 @@ pub mod session;
 pub mod training;
 
 pub use cycle::{
-    candidate_premise, premise_from_parts, CachedRun, CycleSql, FeedbackKind, LoopOutcome,
-    LoopVerifier, RunCache, RunControls, StageTimings,
+    candidate_premise, premise_from_parts, CycleSql, FeedbackKind, LoopOutcome, LoopVerifier,
+    RunControls, StageTimings,
 };
-pub use cyclesql_storage::PlanSource;
+pub use cyclesql_explain::{CachedRun, RunCache};
 pub use eval::{
     any_beam_accuracy, evaluate, evaluate_pair, evaluate_science_em, trained_loop, EvalMode,
     EvalOptions, EvalResult, Parallelism,

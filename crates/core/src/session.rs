@@ -22,8 +22,9 @@
 
 use crate::metrics::{VariantCache, TS_VARIANTS};
 use cyclesql_benchgen::{BenchmarkItem, BenchmarkSuite, Split};
+use cyclesql_explain::CachedRun;
 use cyclesql_models::PreparedGold;
-use cyclesql_sql::{parse, CanonicalSql, Query};
+use cyclesql_sql::{parse, to_sql, CanonicalSql, Query};
 use cyclesql_storage::{compile, CompiledQuery, Database, ResultSet};
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
@@ -82,7 +83,11 @@ impl PreparedItem {
     pub fn as_prepared_gold(&self) -> Option<PreparedGold<'static>> {
         self.gold_ast.as_ref().map(|ast| PreparedGold {
             ast: Arc::clone(ast),
-            result: self.gold_result.clone(),
+            sql: to_sql(ast),
+            run: self
+                .gold_result
+                .clone()
+                .map(|r| Arc::new(CachedRun::new(r))),
             source: None,
         })
     }

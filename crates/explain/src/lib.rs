@@ -35,6 +35,7 @@ pub mod join_sem;
 pub mod nlg;
 pub mod polish;
 pub mod quality;
+pub mod run_cache;
 pub mod sql2nl;
 
 #[cfg(test)]
@@ -49,4 +50,5 @@ pub use join_sem::{
 pub use nlg::{generate_explanation, Explanation, ExplanationFacets};
 pub use polish::polish;
 pub use quality::{panel_rating, rate_explanation, QualityScore, RatingBucket};
+pub use run_cache::{CachedRun, RunCache};
 pub use sql2nl::{sql_to_nl, Sql2NlExplanation};

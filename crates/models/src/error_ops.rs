@@ -125,7 +125,7 @@ pub fn apply_error_op(
     applied.then_some(q)
 }
 
-/// Applies a random applicable error operator (tries up to eight draws).
+/// Applies a random applicable error operator (tries up to 24 draws).
 pub fn apply_random_error(query: &Query, db: &Database, rng: &mut StdRng) -> Option<Query> {
     for _ in 0..24 {
         let op = ErrorOp::ALL[rng.gen_range(0..ErrorOp::ALL.len())];

@@ -8,9 +8,10 @@
 use crate::error_ops::apply_random_error;
 use crate::profile::{ModelKind, ModelProfile};
 use cyclesql_benchgen::BenchmarkItem;
+use cyclesql_explain::{CachedRun, RunCache};
 use cyclesql_rng::StdRng;
 use cyclesql_sql::{parse, to_sql, AggFunc, BinOp, Expr, FuncArg, Literal, Query, SelectItem};
-use cyclesql_storage::{execute, Database, ExecOpts, PlanSource, ResultSet};
+use cyclesql_storage::{Database, ExecOpts};
 use std::sync::Arc;
 
 /// One translation candidate, as emitted by a model.
@@ -25,31 +26,39 @@ pub struct Candidate {
 }
 
 /// Gold-side artifacts prepared once per item by an evaluation session or
-/// once per served request: the parsed gold AST and (when the gold
-/// executes) its result on the item's database. Passing this into
+/// once per served request: the parsed gold AST, its print, and (when the
+/// gold executes) its run on the item's database. Passing this into
 /// [`SimulatedModel::translate_prepared`] lets the simulator skip
-/// re-parsing and re-executing the gold query.
+/// re-parsing, re-printing and re-executing the gold query.
 #[derive(Clone)]
 pub struct PreparedGold<'a> {
     /// The parsed gold query.
     pub ast: Arc<Query>,
-    /// The gold result on the item's database; `None` if execution failed.
-    pub result: Option<Arc<ResultSet>>,
+    /// `to_sql(&ast)`: the text of an unrestyled correct candidate, and
+    /// the gold's cache key.
+    pub sql: String,
+    /// The gold run on the item's database; `None` if execution failed.
+    pub run: Option<Arc<CachedRun>>,
     /// Where the simulator runs the queries that check its wrong
     /// candidates (a serving engine's result cache); `None` executes them
     /// directly. Either way the same rows come back, so the candidate list
     /// does not depend on it.
-    pub source: Option<&'a dyn PlanSource>,
+    pub source: Option<&'a dyn RunCache>,
 }
 
 /// A candidate paired with its parse artifact, so downstream consumers
 /// (the cycle loop, metrics) never re-parse the SQL text.
 #[derive(Debug, Clone)]
 pub struct PreparedCandidate {
-    /// The candidate SQL text (may be unparseable for LLM profiles).
+    /// The candidate SQL text (may be unparseable for LLM profiles). The
+    /// simulator emits the print of `ast` whenever `ast` is set.
     pub sql: String,
     /// The parsed candidate; `None` when the text does not parse.
     pub ast: Option<Arc<Query>>,
+    /// The candidate's run on the item's database when the simulator
+    /// already has it (a validated wrong candidate, or the unrestyled gold),
+    /// so the loop executes and explains from it with no second lookup.
+    pub run: Option<Arc<CachedRun>>,
     /// Rank in the beam / completion list (0 = top).
     pub rank: usize,
     /// Model confidence score (monotonically decreasing in rank).
@@ -65,6 +74,18 @@ impl PreparedCandidate {
             score: self.score,
         }
     }
+}
+
+/// How hard one translation worked to make its wrong candidates: each
+/// attempt draws error operators and runs the result on the database; an
+/// attempt is retried when the query fails to run or (usually) when its
+/// result equals the gold's.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SimStats {
+    /// Validation runs of drawn wrong queries.
+    pub attempts: u64,
+    /// Attempts rejected and drawn again (or given up on for the fallback).
+    pub retries: u64,
 }
 
 /// A translation request.
@@ -123,17 +144,28 @@ impl SimulatedModel {
         req: &TranslationRequest<'_>,
         gold: Option<&PreparedGold<'_>>,
     ) -> Vec<PreparedCandidate> {
+        self.translate_counted(req, gold).0
+    }
+
+    /// [`SimulatedModel::translate_prepared`], also reporting the wrong
+    /// candidates' validation attempts and retries.
+    pub fn translate_counted(
+        &self,
+        req: &TranslationRequest<'_>,
+        gold: Option<&PreparedGold<'_>>,
+    ) -> (Vec<PreparedCandidate>, SimStats) {
+        let mut stats = SimStats::default();
         let gold_ast: Arc<Query> = match gold {
             Some(g) => Arc::clone(&g.ast),
             None => match parse(&req.item.gold_sql) {
                 Ok(q) => Arc::new(q),
-                Err(_) => return Vec::new(),
+                Err(_) => return (Vec::new(), stats),
             },
         };
-        // The gold result is only needed to keep wrong candidates
+        // The gold run is only needed to keep wrong candidates
         // execution-distinct; compute it lazily so a k=1 correct beam never
         // executes the gold at all (matching the string path's cost shape).
-        let mut gold_result: Option<Option<Arc<ResultSet>>> = gold.map(|g| g.result.clone());
+        let mut gold_run: Option<Option<Arc<CachedRun>>> = gold.map(|g| g.run.clone());
         let source = gold.and_then(|g| g.source);
         let mut rng =
             StdRng::seed_from_u64(fxhash(self.profile.name) ^ fxhash(&req.item.id) ^ 0x5117);
@@ -161,7 +193,7 @@ impl SimulatedModel {
 
         let mut candidates = Vec::with_capacity(req.k);
         for rank in 0..req.k {
-            let (sql, ast) = if Some(rank) == first_correct {
+            let (sql, ast, run) = if Some(rank) == first_correct {
                 let style_p = if req.science {
                     self.profile.science_style_divergence
                 } else {
@@ -170,30 +202,41 @@ impl SimulatedModel {
                 let styled = rng.gen_bool(style_p);
                 if styled {
                     let q = restyle(&gold_ast, req.db, &mut rng);
-                    (to_sql(&q), Some(Arc::new(q)))
+                    (to_sql(&q), Some(Arc::new(q)), None)
                 } else {
-                    (to_sql(&gold_ast), Some(Arc::clone(&gold_ast)))
+                    let sql = gold.map_or_else(|| to_sql(&gold_ast), |g| g.sql.clone());
+                    (sql, Some(Arc::clone(&gold_ast)), gold_run.clone().flatten())
                 }
             } else if self.profile.kind == ModelKind::Llm && rng.gen_bool(self.profile.invalid_rate)
             {
                 // LLMs occasionally emit non-SQL garbage.
                 let sql = format!("{} AND AND ???", req.item.gold_sql);
                 let ast = parse(&sql).ok().map(Arc::new);
-                (sql, ast)
+                (sql, ast, None)
             } else {
-                let gr = gold_result
-                    .get_or_insert_with(|| execute(req.db, &gold_ast).ok().map(Arc::new))
+                let gr = gold_run
+                    .get_or_insert_with(|| {
+                        CachedRun::execute(req.db, &gold_ast, &ExecOpts::default())
+                    })
                     .clone();
-                wrong_candidate(&gold_ast, gr.as_deref(), req.db, source, &mut rng)
+                wrong_candidate(
+                    &gold_ast,
+                    gr.as_deref(),
+                    req.db,
+                    source,
+                    &mut rng,
+                    &mut stats,
+                )
             };
             candidates.push(PreparedCandidate {
                 sql,
                 ast,
+                run,
                 rank,
                 score: 1.0 - rank as f64 * 0.07,
             });
         }
-        candidates
+        (candidates, stats)
     }
 
     /// Simulated wall-clock for one inference call (producing the whole
@@ -207,16 +250,20 @@ impl SimulatedModel {
 /// Builds an incorrect candidate: 1–2 error operators, retried until the
 /// result is executable and (best-effort) execution-distinct from the gold.
 ///
-/// The gold result is supplied by the caller (computed at most once per
-/// translation) instead of being re-executed per wrong candidate; each
-/// attempt runs through `source` when one is given.
+/// The drawn AST is the candidate: its print is the candidate's text and
+/// its cache key, and it is never reparsed (every error operator emits an
+/// AST that equals the parse of its print). The gold run is supplied by
+/// the caller (computed at most once per translation); each attempt runs
+/// through `source` when one is given, and the accepted attempt's run
+/// travels with the candidate.
 fn wrong_candidate(
     gold: &Query,
-    gold_result: Option<&ResultSet>,
+    gold_run: Option<&CachedRun>,
     db: &Database,
-    source: Option<&dyn PlanSource>,
+    source: Option<&dyn RunCache>,
     rng: &mut StdRng,
-) -> (String, Option<Arc<Query>>) {
+    stats: &mut SimStats,
+) -> (String, Option<Arc<Query>>, Option<Arc<CachedRun>>) {
     for _attempt in 0..4 {
         let mut q = match apply_random_error(gold, db, rng) {
             Some(q) => q,
@@ -228,28 +275,29 @@ fn wrong_candidate(
             }
         }
         let sql = to_sql(&q);
-        let Ok(reparsed) = parse(&sql) else { continue };
-        let result = match source {
-            Some(source) => source.result(db, &reparsed, &ExecOpts::default()),
-            None => execute(db, &reparsed).ok().map(Arc::new),
+        let opts = ExecOpts::default();
+        let run = match source {
+            Some(source) => source.run(db, &sql, &q, &opts).0,
+            None => CachedRun::execute(db, &q, &opts),
         };
-        let Some(result) = result else { continue };
-        if let Some(gr) = gold_result {
-            if result.bag_eq(gr) {
-                // Accidentally equivalent — usually retry, occasionally let
-                // it through (real model errors are sometimes benign).
-                if rng.gen_bool(0.85) {
-                    continue;
-                }
-            }
+        stats.attempts += 1;
+        let Some(run) = run else {
+            stats.retries += 1;
+            continue;
+        };
+        // Accidentally equivalent — usually retry, occasionally let it
+        // through (real model errors are sometimes benign).
+        if gold_run.is_some_and(|g| run.same_bag(g)) && rng.gen_bool(0.85) {
+            stats.retries += 1;
+            continue;
         }
-        return (sql, Some(Arc::new(reparsed)));
+        return (sql, Some(Arc::new(q)), Some(run));
     }
     // Fallback: a structurally-different but valid query (count over base).
     let base = gold.leading_select().from.base.clone();
     let sql = format!("SELECT count(*) FROM {}", base.name);
     let ast = parse(&sql).ok().map(Arc::new);
-    (sql, ast)
+    (sql, ast, None)
 }
 
 /// Restyles a correct query without changing its semantics: breaks EM,
@@ -363,6 +411,7 @@ mod tests {
     use super::*;
     use cyclesql_benchgen::{build_spider_suite, SuiteConfig, Variant};
     use cyclesql_sql::exact_match;
+    use cyclesql_storage::execute;
 
     fn setup() -> (cyclesql_benchgen::BenchmarkSuite, SimulatedModel) {
         (
@@ -391,23 +440,27 @@ mod tests {
         assert_eq!(a.len(), 8);
     }
 
-    /// A result source that memoizes every query it runs, so repeated
-    /// validation queries are answered from memory as a serving cache would.
+    /// A run cache that memoizes every query it runs by its text, so
+    /// repeated validation queries are answered from memory as a serving
+    /// cache would.
     #[derive(Default)]
-    struct MemoSource(std::sync::Mutex<std::collections::HashMap<String, Option<Arc<ResultSet>>>>);
+    struct MemoSource(std::sync::Mutex<std::collections::HashMap<String, Option<Arc<CachedRun>>>>);
 
-    impl PlanSource for MemoSource {
-        fn result(
+    impl RunCache for MemoSource {
+        fn run(
             &self,
             db: &Database,
+            sql: &str,
             query: &Query,
-            _opts: &ExecOpts<'_>,
-        ) -> Option<Arc<ResultSet>> {
-            let key = format!("{}\n{}", db.schema.name, to_sql(query));
+            opts: &ExecOpts<'_>,
+        ) -> (Option<Arc<CachedRun>>, bool) {
+            let key = format!("{}\n{sql}", db.schema.name);
             let mut memo = self.0.lock().unwrap();
-            memo.entry(key)
-                .or_insert_with(|| execute(db, query).ok().map(Arc::new))
-                .clone()
+            let hit = memo.contains_key(&key);
+            let run = memo
+                .entry(key)
+                .or_insert_with(|| CachedRun::execute(db, query, opts));
+            (run.clone(), hit)
         }
     }
 
@@ -432,12 +485,15 @@ mod tests {
                 let gold_ast = Arc::new(parse(&item.gold_sql).unwrap());
                 let mut gold = PreparedGold {
                     ast: Arc::clone(&gold_ast),
-                    result: execute(db, &gold_ast).ok().map(Arc::new),
+                    sql: to_sql(&gold_ast),
+                    run: CachedRun::execute(db, &gold_ast, &ExecOpts::default()),
                     source: None,
                 };
-                let prepared = model.translate_prepared(&req, Some(&gold));
+                let (prepared, stats) = model.translate_counted(&req, Some(&gold));
                 gold.source = Some(&source);
-                let sourced = model.translate_prepared(&req, Some(&gold));
+                let (sourced, sourced_stats) = model.translate_counted(&req, Some(&gold));
+                assert_eq!(stats, sourced_stats, "{}", item.id);
+                assert!(stats.retries <= stats.attempts);
                 assert_eq!(plain.len(), prepared.len());
                 assert_eq!(plain.len(), sourced.len());
                 for ((p, c), r) in plain.iter().zip(&prepared).zip(&sourced) {
@@ -453,6 +509,17 @@ mod tests {
                     assert_eq!(c.ast.is_some(), parse(&c.sql).is_ok());
                     if let Some(ast) = &c.ast {
                         assert_eq!(to_sql(ast), to_sql(&parse(&c.sql).unwrap()));
+                    }
+                    // A carried run is the candidate's own result.
+                    for cand in [c, r] {
+                        if let (Some(run), Some(ast)) = (&cand.run, &cand.ast) {
+                            let fresh = CachedRun::execute(db, ast, &ExecOpts::default());
+                            assert_eq!(
+                                Some(&run.result),
+                                fresh.as_ref().map(|f| &f.result),
+                                "{at}"
+                            );
+                        }
                     }
                 }
             }

@@ -15,15 +15,13 @@ use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::plan_cache::ResultCache;
 use crate::requests::{sql_digest, RequestLog, RequestSummary};
 use cyclesql_benchgen::BenchmarkItem;
-use cyclesql_core::{
-    CachedRun, CycleSql, LoopVerifier, PlanSource, RunCache, RunControls, StageTimings,
-};
+use cyclesql_core::{CachedRun, CycleSql, LoopVerifier, RunCache, RunControls, StageTimings};
 use cyclesql_explain::Explanation;
 use cyclesql_models::{PreparedGold, SimulatedModel, TranslationRequest};
 use cyclesql_obs::{
     Exemplar, SharedSpan, Span, SpanCtx, Tracer, WindowConfig, WindowSet, WindowSnapshot,
 };
-use cyclesql_sql::{parse, Query};
+use cyclesql_sql::{parse, to_sql, Query};
 use cyclesql_storage::{Database, ExecOpts, ResultSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -256,22 +254,15 @@ fn load(counter: &AtomicU64) -> u64 {
     counter.load(Ordering::Relaxed)
 }
 
-impl PlanSource for PhaseCache<'_> {
-    fn result(&self, db: &Database, query: &Query, opts: &ExecOpts<'_>) -> Option<Arc<ResultSet>> {
-        let (result, hit) = self.cache.result(db, query, opts);
-        count(hit, &self.tally.hits, &self.tally.misses);
-        result
-    }
-}
-
 impl RunCache for PhaseCache<'_> {
     fn run(
         &self,
         db: &Database,
+        sql: &str,
         query: &Query,
         opts: &ExecOpts<'_>,
     ) -> (Option<Arc<CachedRun>>, bool) {
-        let (run, hit) = self.cache.run(db, query, opts);
+        let (run, hit) = self.cache.run(db, sql, query, opts);
         count(hit, &self.tally.hits, &self.tally.misses);
         (run, hit)
     }
@@ -288,8 +279,9 @@ impl RunCache for PhaseCache<'_> {
 }
 
 /// A request's cache views: `translate` serves the gold and the
-/// simulator's validation runs, `execute` the loop's candidate executes
-/// and explanations.
+/// simulator's validation runs, whose entries the candidates carry into the
+/// loop; `execute` serves the loop's lookups of candidates that carry no
+/// entry, and tallies every explanation read.
 struct RequestPlans<'a> {
     translate: PhaseCache<'a>,
     execute: PhaseCache<'a>,
@@ -793,21 +785,37 @@ fn process_inner(
         threads: exec_threads,
         ..ExecOpts::default()
     };
-    // The gold is parsed once per request and its result read through the
-    // cache; both feed the simulator and, below, the oracle verifier.
-    let gold = parse(&item.gold_sql).ok().map(|ast| PreparedGold {
-        result: plans.translate.result(db, &ast, &opts),
-        ast: Arc::new(ast),
-        source: Some(&plans.translate),
+    // The gold is parsed and printed once per request and its run read
+    // through the cache under that print; both feed the simulator and,
+    // below, the oracle verifier.
+    let gold = parse(&item.gold_sql).ok().map(|ast| {
+        let sql = to_sql(&ast);
+        PreparedGold {
+            run: plans.translate.run(db, &sql, &ast, &opts).0,
+            ast: Arc::new(ast),
+            sql,
+            source: Some(&plans.translate),
+        }
     });
-    let candidates = shared.model.translate_prepared(&request, gold.as_ref());
+    let (candidates, sim) = shared.model.translate_counted(&request, gold.as_ref());
     let translate = t.elapsed();
     if let Some(mut s) = translate_span {
         s.set("candidates", candidates.len());
+        s.set("sim_attempts", sim.attempts);
+        s.set("sim_retries", sim.retries);
     }
+    metrics
+        .sim_attempts
+        .fetch_add(sim.attempts, Ordering::Relaxed);
+    metrics
+        .sim_retries
+        .fetch_add(sim.retries, Ordering::Relaxed);
 
     let gold_result = match &shared.cycle.verifier {
-        LoopVerifier::Oracle => gold.as_ref().and_then(|g| g.result.as_deref()),
+        LoopVerifier::Oracle => gold
+            .as_ref()
+            .and_then(|g| g.run.as_deref())
+            .map(|run| &*run.result),
         _ => None,
     };
 

@@ -14,7 +14,8 @@
 //! - [`ResultCache`] — a sharded, capacity-bounded LRU of query results
 //!   keyed by `(db_id, canonical SQL)`. Every execute of a request — the
 //!   gold, the simulated model's validation runs, the loop's candidates —
-//!   reads it as a [`PlanSource`](cyclesql_core::PlanSource), so repeated
+//!   reads it through one [`RunCache`](cyclesql_core::RunCache) hook, and
+//!   a validated candidate carries its entry into the loop, so repeated
 //!   questions skip compilation and execution alike.
 //! - [`ServiceEngine`] — a fixed worker pool behind a bounded admission
 //!   queue with two backpressure policies ([`AdmissionPolicy::Block`] /

@@ -158,6 +158,11 @@ pub struct Metrics {
     /// Data-grounded explanations the served loop built (and memoized when
     /// the result was cached).
     pub explain_cache_misses: AtomicU64,
+    /// The simulated model's validation runs of drawn wrong candidates.
+    pub sim_attempts: AtomicU64,
+    /// Validation attempts the simulator rejected and drew again (the
+    /// query failed, or its result equalled the gold's).
+    pub sim_retries: AtomicU64,
     /// Per-stage latency histograms.
     pub stages: StageHistograms,
     /// Admission-queue wait (submit → worker dequeue), recorded for every
@@ -186,6 +191,8 @@ impl Metrics {
             },
             explain_cache_hits: load(&self.explain_cache_hits),
             explain_cache_misses: load(&self.explain_cache_misses),
+            sim_attempts: load(&self.sim_attempts),
+            sim_retries: load(&self.sim_retries),
             verifier_accepts: load(&self.verifier_accepts),
             verifier_rejects: load(&self.verifier_rejects),
             avg_iterations: if completed == 0 {
@@ -248,6 +255,10 @@ pub struct MetricsSnapshot {
     /// Explanations built by the served loop (not counted in
     /// `cache_misses`).
     pub explain_cache_misses: u64,
+    /// The simulated model's validation runs of drawn wrong candidates.
+    pub sim_attempts: u64,
+    /// Validation attempts the simulator rejected and drew again.
+    pub sim_retries: u64,
     /// Accepting verifier verdicts.
     pub verifier_accepts: u64,
     /// Rejecting verifier verdicts.
@@ -347,6 +358,7 @@ mod tests {
         let m = Metrics::default();
         let s = m.snapshot(0, 0);
         assert_eq!(s.completed, 0);
+        assert_eq!((s.sim_attempts, s.sim_retries), (0, 0));
         assert_eq!(s.cache_hit_rate, 0.0);
         assert_eq!(s.avg_iterations, 0.0);
         assert_eq!(s.stages.total.p99_ms, 0.0);

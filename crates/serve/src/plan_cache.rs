@@ -11,13 +11,13 @@
 //! plans: a served [`Catalog`](crate::Catalog) never changes after start
 //! and its ids are unique, so rerunning a cached plan could only ever
 //! produce the same rows again. A failing query is cached too, as `None`.
-//! Each result's entry also keeps the loop's data-grounded explanation of
-//! it once built ([`CachedRun`]): that, too, is a function of the database
-//! and the canonical SQL alone.
+//! Each result's entry also keeps its bag fingerprint and, once built, the
+//! loop's data-grounded explanation of it ([`CachedRun`]): both, too, are
+//! functions of the database and the canonical SQL alone.
 
 use cyclesql_core::CachedRun;
 use cyclesql_sql::{to_sql, Query};
-use cyclesql_storage::{compile, CompiledQuery, Database, ExecOpts, ResultSet};
+use cyclesql_storage::{CompiledQuery, Database, ExecOpts};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -268,32 +268,22 @@ impl<V: Clone> ShardedLru<V> {
 }
 
 impl ResultCache {
-    /// The cached run of `query` on `db` and whether it was a hit. A miss
-    /// compiles and runs the query under `opts` and caches the outcome,
-    /// failures included. Sound only for databases that never change.
+    /// The cached run of `query` on `db`, keyed by `sql` (a text that
+    /// parses to `query`), and whether it was a hit. A miss compiles and
+    /// runs the query under `opts` and caches the outcome, failures
+    /// included. Sound only for databases that never change.
     pub fn run(
         &self,
         db: &Database,
+        sql: &str,
         query: &Query,
         opts: &ExecOpts<'_>,
     ) -> (Option<Arc<CachedRun>>, bool) {
-        self.get_or_insert_with(PlanKey::of(db, query), || {
-            let (out, _) = compile(db, query)
-                .and_then(|plan| plan.run_opts(db, opts))
-                .ok()?;
-            Some(Arc::new(CachedRun::new(Arc::new(out.result))))
-        })
-    }
-
-    /// [`ResultCache::run`]'s result alone.
-    pub fn result(
-        &self,
-        db: &Database,
-        query: &Query,
-        opts: &ExecOpts<'_>,
-    ) -> (Option<Arc<ResultSet>>, bool) {
-        let (run, hit) = self.run(db, query, opts);
-        (run.map(|r| Arc::clone(&r.result)), hit)
+        let key = PlanKey {
+            db_id: db.schema.name.clone(),
+            sql: sql.to_owned(),
+        };
+        self.get_or_insert_with(key, || CachedRun::execute(db, query, opts))
     }
 }
 
@@ -303,7 +293,9 @@ mod tests {
     use cyclesql_explain::{generate_explanation, Explanation};
     use cyclesql_provenance::track_provenance;
     use cyclesql_sql::parse;
-    use cyclesql_storage::{ColumnDef, DataType, DatabaseSchema, TableSchema, Value};
+    use cyclesql_storage::{
+        compile, ColumnDef, DataType, DatabaseSchema, ResultSet, TableSchema, Value,
+    };
     use std::sync::atomic::AtomicUsize;
 
     fn db(name: &str) -> Database {
@@ -320,6 +312,25 @@ mod tests {
             d.insert("t", vec![Value::Int(i), Value::Int(i * 10)]);
         }
         d
+    }
+
+    /// `ast`'s run through the cache, keyed by its print.
+    fn cached_run(
+        cache: &ResultCache,
+        d: &Database,
+        ast: &Query,
+    ) -> (Option<Arc<CachedRun>>, bool) {
+        cache.run(d, &to_sql(ast), ast, &ExecOpts::default())
+    }
+
+    /// [`cached_run`]'s result alone.
+    fn cached_result(
+        cache: &ResultCache,
+        d: &Database,
+        ast: &Query,
+    ) -> (Option<Arc<ResultSet>>, bool) {
+        let (run, hit) = cached_run(cache, d, ast);
+        (run.map(|r| Arc::clone(&r.result)), hit)
     }
 
     /// The loop's data-grounded explanation of `result`'s first row.
@@ -384,7 +395,7 @@ mod tests {
         let d1 = db("db_one");
         let cache = ResultCache::new(8, 2);
         let ast = parse("SELECT count(*) FROM t").unwrap();
-        let (result, hit) = cache.result(&d1, &ast, &ExecOpts::default());
+        let (result, hit) = cached_result(&cache, &d1, &ast);
         assert!(result.is_some() && !hit);
         // The same canonical SQL against another catalog database misses:
         // entries are never replayed across databases.
@@ -418,7 +429,7 @@ mod tests {
                 scope.spawn(move || {
                     for r in 0..rounds {
                         let ast = parse(&sqls[(t + r) % sqls.len()]).unwrap();
-                        let (result, _) = cache.result(d, &ast, &ExecOpts::default());
+                        let (result, _) = cached_result(cache, d, &ast);
                         assert!(result.is_some());
                     }
                 });
@@ -444,7 +455,7 @@ mod tests {
         let cache = ResultCache::new(8, 1);
         let ast = parse("SELECT missing_col FROM t").unwrap();
         for round in 0..3 {
-            let (result, hit) = cache.result(&d, &ast, &ExecOpts::default());
+            let (result, hit) = cached_result(&cache, &d, &ast);
             assert!(result.is_none());
             assert_eq!(hit, round > 0, "round {round}");
         }
@@ -469,7 +480,7 @@ mod tests {
             let ast = parse(sql).unwrap();
             let expected = cyclesql_storage::execute(&d, &ast).unwrap();
             for _ in 0..2 {
-                let (result, _) = cache.result(&d, &ast, &ExecOpts::default());
+                let (result, _) = cached_result(&cache, &d, &ast);
                 let result = result.expect("query runs");
                 assert_eq!(result.columns, expected.columns, "{sql}");
                 assert_eq!(result.rows, expected.rows, "{sql}: same rows, same order");
@@ -485,7 +496,7 @@ mod tests {
         let ast = parse("SELECT v FROM t WHERE id < 3").unwrap();
         let expected = cyclesql_storage::execute(&d, &ast).unwrap();
         for _ in 0..4 {
-            let (result, hit) = cache.result(&d, &ast, &ExecOpts::default());
+            let (result, hit) = cached_result(&cache, &d, &ast);
             assert_eq!(result.as_deref(), Some(&expected));
             assert!(!hit);
         }
@@ -506,7 +517,7 @@ mod tests {
                 .map(|_| {
                     scope.spawn(|| {
                         start.wait();
-                        let (run, _) = cache.run(&d, &ast, &ExecOpts::default());
+                        let (run, _) = cached_run(&cache, &d, &ast);
                         let run = run.expect("query runs");
                         let (e, _) = run.explanation_or_init(|| {
                             builds.fetch_add(1, Ordering::Relaxed);
@@ -528,7 +539,7 @@ mod tests {
             "one shared explanation"
         );
         // Sequential reads of the same entry build nothing more.
-        let (run, hit) = cache.run(&d, &ast, &ExecOpts::default());
+        let (run, hit) = cached_run(&cache, &d, &ast);
         assert!(hit);
         let (e, memoized) = run
             .unwrap()
@@ -543,15 +554,15 @@ mod tests {
         let cache = ResultCache::new(1, 1);
         let first = parse("SELECT v FROM t WHERE id = 1").unwrap();
         let second = parse("SELECT v FROM t WHERE id = 2").unwrap();
-        let (run, _) = cache.run(&d, &first, &ExecOpts::default());
+        let (run, _) = cached_run(&cache, &d, &first);
         let run = run.unwrap();
         let (e, _) = run.explanation_or_init(|| explain(&d, &first, &run.result));
         let memo = Arc::downgrade(&e);
         drop((e, run));
         assert!(memo.upgrade().is_some(), "the entry keeps its explanation");
-        cache.run(&d, &second, &ExecOpts::default());
+        cached_run(&cache, &d, &second);
         assert!(memo.upgrade().is_none(), "eviction freed the explanation");
-        let (run, hit) = cache.run(&d, &first, &ExecOpts::default());
+        let (run, hit) = cached_run(&cache, &d, &first);
         assert!(!hit);
         assert!(
             run.unwrap().explanation.get().is_none(),
@@ -567,7 +578,7 @@ mod tests {
         let fresh = explain(&d, &ast, &cyclesql_storage::execute(&d, &ast).unwrap());
         let builds = AtomicUsize::new(0);
         for _ in 0..3 {
-            let (run, hit) = cache.run(&d, &ast, &ExecOpts::default());
+            let (run, hit) = cached_run(&cache, &d, &ast);
             let run = run.unwrap();
             let (e, memoized) = run.explanation_or_init(|| {
                 builds.fetch_add(1, Ordering::Relaxed);
@@ -587,7 +598,7 @@ mod tests {
         let cache = ResultCache::new(8, 1);
         let ast = parse("SELECT missing_col FROM t").unwrap();
         for round in 0..2 {
-            let (run, hit) = cache.run(&d, &ast, &ExecOpts::default());
+            let (run, hit) = cached_run(&cache, &d, &ast);
             assert!(run.is_none(), "round {round}: nothing to explain");
             assert_eq!(hit, round > 0);
         }
@@ -603,7 +614,7 @@ mod tests {
         let d = db("tally");
         let cache = ResultCache::new(8, 2);
         let ast = parse("SELECT count(*) FROM t").unwrap();
-        let (run, _) = cache.run(&d, &ast, &ExecOpts::default());
+        let (run, _) = cached_run(&cache, &d, &ast);
         let run = run.unwrap();
         for _ in 0..3 {
             run.explanation_or_init(|| explain(&d, &ast, &run.result));

@@ -23,11 +23,6 @@ fn counter(out: &mut String, name: &str, help: &str, value: u64) {
     let _ = writeln!(out, "{name} {value}");
 }
 
-fn gauge(out: &mut String, name: &str, help: &str, value: f64) {
-    family(out, name, help, "gauge");
-    let _ = writeln!(out, "{name} {}", fmt_f64(value));
-}
-
 /// Prometheus floats: plain decimal, no exponent needed at our scales; an
 /// integral value still renders with a trailing `.0`-free form (`42`),
 /// which the format accepts.
@@ -81,10 +76,6 @@ fn summary_rows(out: &mut String, name: &str, extra: &str, h: &HistogramSnapshot
     );
 }
 
-fn stage_rows(out: &mut String, stage: &str, h: &HistogramSnapshot) {
-    stage_rows_labeled(out, "", stage, h);
-}
-
 fn stage_rows_labeled(out: &mut String, extra: &str, stage: &str, h: &HistogramSnapshot) {
     summary_rows(
         out,
@@ -98,120 +89,13 @@ fn stage_rows_labeled(out: &mut String, extra: &str, stage: &str, h: &HistogramS
     );
 }
 
-const EXPLAIN_HITS_HELP: &str =
-    "Data-grounded explanations read memoized from a result-cache entry.";
-const EXPLAIN_MISSES_HELP: &str = "Data-grounded explanations built by the served loop.";
-
 /// Renders a [`MetricsSnapshot`] as Prometheus exposition text.
 pub fn render_metrics(snapshot: &MetricsSnapshot) -> String {
-    let mut out = String::new();
-    counter(
-        &mut out,
-        "cyclesql_requests_admitted_total",
-        "Requests admitted past backpressure.",
-        snapshot.admitted,
-    );
-    counter(
-        &mut out,
-        "cyclesql_requests_completed_total",
-        "Requests fully served.",
-        snapshot.completed,
-    );
-    counter(
-        &mut out,
-        "cyclesql_requests_shed_total",
-        "Requests rejected at admission by the shed policy.",
-        snapshot.shed,
-    );
-    counter(
-        &mut out,
-        "cyclesql_requests_timeout_total",
-        "Requests abandoned by their deadline.",
-        snapshot.timeouts,
-    );
-    counter(
-        &mut out,
-        "cyclesql_requests_unknown_db_total",
-        "Requests naming an unserved database.",
-        snapshot.unknown_db,
-    );
-    counter(
-        &mut out,
-        "cyclesql_plan_cache_hits_total",
-        "Result-cache hits.",
-        snapshot.cache_hits,
-    );
-    counter(
-        &mut out,
-        "cyclesql_plan_cache_misses_total",
-        "Result-cache misses.",
-        snapshot.cache_misses,
-    );
-    gauge(
-        &mut out,
-        "cyclesql_plan_cache_hit_rate",
-        "Result-cache hits over lookups, in [0, 1].",
-        snapshot.cache_hit_rate,
-    );
-    counter(
-        &mut out,
-        "cyclesql_explain_cache_hits_total",
-        EXPLAIN_HITS_HELP,
-        snapshot.explain_cache_hits,
-    );
-    counter(
-        &mut out,
-        "cyclesql_explain_cache_misses_total",
-        EXPLAIN_MISSES_HELP,
-        snapshot.explain_cache_misses,
-    );
-    counter(
-        &mut out,
-        "cyclesql_verifier_accepts_total",
-        "Accepting verifier verdicts.",
-        snapshot.verifier_accepts,
-    );
-    counter(
-        &mut out,
-        "cyclesql_verifier_rejects_total",
-        "Rejecting verifier verdicts.",
-        snapshot.verifier_rejects,
-    );
-    gauge(
-        &mut out,
-        "cyclesql_loop_iterations_avg",
-        "Mean candidate-loop iterations per completed request.",
-        snapshot.avg_iterations,
-    );
-    family(
-        &mut out,
-        "cyclesql_stage_latency_ms",
-        "Per-stage latency summary (bucket-resolution quantiles, ms).",
-        "summary",
-    );
-    let s = &snapshot.stages;
-    for (stage, h) in [
-        ("translate", &s.translate),
-        ("execute", &s.execute),
-        ("provenance", &s.provenance),
-        ("explain", &s.explain),
-        ("verify", &s.verify),
-        ("total", &s.total),
-    ] {
-        stage_rows(&mut out, stage, h);
-    }
-    family(
-        &mut out,
-        "cyclesql_queue_wait_ms",
-        "Admission-queue wait (submit to worker dequeue, ms).",
-        "summary",
-    );
-    summary_rows(&mut out, "cyclesql_queue_wait_ms", "", &snapshot.queue_wait);
-    out
+    render_labeled(&[(String::new(), snapshot)])
 }
 
-/// A metric family rendered per shard: name, help text, and the sample's
-/// source in a snapshot.
+/// A metric family: name, help text, and the sample's source in a
+/// snapshot.
 type Family<T> = (&'static str, &'static str, fn(&MetricsSnapshot) -> T);
 
 /// Renders several engines' snapshots as one exposition page, each sample
@@ -220,8 +104,18 @@ type Family<T> = (&'static str, &'static str, fn(&MetricsSnapshot) -> T);
 /// the shape the network tier's `/metrics` endpoint serves when the
 /// catalog is split across engine instances.
 pub fn render_metrics_sharded(shards: &[(usize, MetricsSnapshot)]) -> String {
+    let labeled: Vec<(String, &MetricsSnapshot)> = shards
+        .iter()
+        .map(|(shard, snap)| (label_str(&[("shard", shard.to_string())]), snap))
+        .collect();
+    render_labeled(&labeled)
+}
+
+/// Every family of [`render_metrics`], one header each, with one sample
+/// per snapshot carrying that snapshot's labels (empty for none).
+fn render_labeled(snapshots: &[(String, &MetricsSnapshot)]) -> String {
     let mut out = String::new();
-    let counters: [Family<u64>; 11] = [
+    let counters: [Family<u64>; 13] = [
         (
             "cyclesql_requests_admitted_total",
             "Requests admitted past backpressure.",
@@ -259,13 +153,23 @@ pub fn render_metrics_sharded(shards: &[(usize, MetricsSnapshot)]) -> String {
         ),
         (
             "cyclesql_explain_cache_hits_total",
-            EXPLAIN_HITS_HELP,
+            "Data-grounded explanations read memoized from a result-cache entry.",
             |s| s.explain_cache_hits,
         ),
         (
             "cyclesql_explain_cache_misses_total",
-            EXPLAIN_MISSES_HELP,
+            "Data-grounded explanations built by the served loop.",
             |s| s.explain_cache_misses,
+        ),
+        (
+            "cyclesql_sim_attempts_total",
+            "Simulated-model validation runs of drawn wrong candidates.",
+            |s| s.sim_attempts,
+        ),
+        (
+            "cyclesql_sim_retries_total",
+            "Simulated-model validation attempts rejected and drawn again (query failed or matched the gold).",
+            |s| s.sim_retries,
         ),
         (
             "cyclesql_verifier_accepts_total",
@@ -280,9 +184,8 @@ pub fn render_metrics_sharded(shards: &[(usize, MetricsSnapshot)]) -> String {
     ];
     for (name, help, get) in counters {
         family(&mut out, name, help, "counter");
-        for (shard, snap) in shards {
-            let labels = label_str(&[("shard", shard.to_string())]);
-            sample(&mut out, name, &labels, &get(snap).to_string());
+        for (labels, snap) in snapshots {
+            sample(&mut out, name, labels, &get(snap).to_string());
         }
     }
     let gauges: [Family<f64>; 2] = [
@@ -299,9 +202,8 @@ pub fn render_metrics_sharded(shards: &[(usize, MetricsSnapshot)]) -> String {
     ];
     for (name, help, get) in gauges {
         family(&mut out, name, help, "gauge");
-        for (shard, snap) in shards {
-            let labels = label_str(&[("shard", shard.to_string())]);
-            sample(&mut out, name, &labels, &fmt_f64(get(snap)));
+        for (labels, snap) in snapshots {
+            sample(&mut out, name, labels, &fmt_f64(get(snap)));
         }
     }
     family(
@@ -310,8 +212,7 @@ pub fn render_metrics_sharded(shards: &[(usize, MetricsSnapshot)]) -> String {
         "Per-stage latency summary (bucket-resolution quantiles, ms).",
         "summary",
     );
-    for (shard, snap) in shards {
-        let extra = label_str(&[("shard", shard.to_string())]);
+    for (extra, snap) in snapshots {
         let s = &snap.stages;
         for (stage, h) in [
             ("translate", &s.translate),
@@ -321,7 +222,7 @@ pub fn render_metrics_sharded(shards: &[(usize, MetricsSnapshot)]) -> String {
             ("verify", &s.verify),
             ("total", &s.total),
         ] {
-            stage_rows_labeled(&mut out, &extra, stage, h);
+            stage_rows_labeled(&mut out, extra, stage, h);
         }
     }
     family(
@@ -330,9 +231,8 @@ pub fn render_metrics_sharded(shards: &[(usize, MetricsSnapshot)]) -> String {
         "Admission-queue wait (submit to worker dequeue, ms).",
         "summary",
     );
-    for (shard, snap) in shards {
-        let extra = label_str(&[("shard", shard.to_string())]);
-        summary_rows(&mut out, "cyclesql_queue_wait_ms", &extra, &snap.queue_wait);
+    for (extra, snap) in snapshots {
+        summary_rows(&mut out, "cyclesql_queue_wait_ms", extra, &snap.queue_wait);
     }
     out
 }
@@ -541,6 +441,8 @@ mod tests {
             "cyclesql_plan_cache_hit_rate",
             "cyclesql_explain_cache_hits_total",
             "cyclesql_explain_cache_misses_total",
+            "cyclesql_sim_attempts_total",
+            "cyclesql_sim_retries_total",
             "cyclesql_verifier_accepts_total",
             "cyclesql_verifier_rejects_total",
             "cyclesql_loop_iterations_avg",
@@ -576,6 +478,10 @@ mod tests {
         m0.stages
             .record(&StageTimings::default(), Duration::from_millis(2));
         m0.queue_wait.record(Duration::from_micros(700));
+        m0.sim_attempts
+            .store(4, std::sync::atomic::Ordering::Relaxed);
+        m0.sim_retries
+            .store(1, std::sync::atomic::Ordering::Relaxed);
         let m1 = Metrics::default();
         m1.admitted.store(9, std::sync::atomic::Ordering::Relaxed);
         let shards = vec![(0usize, m0.snapshot(3, 1)), (1usize, m1.snapshot(0, 0))];
@@ -590,6 +496,12 @@ mod tests {
         assert!(text.contains("cyclesql_requests_admitted_total{shard=\"1\"} 9"));
         assert!(text.contains("{shard=\"0\",stage=\"total\",quantile=\"0.99\"}"));
         assert!(text.contains("cyclesql_queue_wait_ms_count{shard=\"0\"} 1"));
+        assert!(text.contains("cyclesql_sim_attempts_total{shard=\"0\"} 4"));
+        assert!(text.contains("cyclesql_sim_retries_total{shard=\"0\"} 1"));
+        assert_eq!(
+            text.matches("# HELP cyclesql_sim_retries_total ").count(),
+            1
+        );
         // Every non-comment line still parses as `name[{labels}] value`.
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             let mut parts = line.rsplitn(2, ' ');

@@ -16,7 +16,6 @@
 use crate::compile::compile;
 use crate::error::ExecError;
 use crate::result::ResultSet;
-use crate::run::ExecOpts;
 use crate::table::Database;
 use cyclesql_sql::Query;
 use std::sync::Arc;
@@ -66,15 +65,4 @@ pub fn execute_with_lineage(db: &Database, q: &Query) -> Result<ExecOutput, Exec
 /// SQL" in the paper's sense).
 pub fn is_executable(db: &Database, q: &Query) -> bool {
     execute(db, q).is_ok()
-}
-
-/// A provider of query results against databases that never change, so a
-/// query's rows can be computed once and handed out again (the serving
-/// engine keeps them in a sharded LRU keyed by `(database id, canonical
-/// SQL)`). Whatever the source returns must equal what [`execute`] would
-/// return, row for row and in order.
-pub trait PlanSource: Sync {
-    /// The result of `query` on `db`, or `None` when the query fails to
-    /// compile or run. A result computed here runs under `opts`.
-    fn result(&self, db: &Database, query: &Query, opts: &ExecOpts<'_>) -> Option<Arc<ResultSet>>;
 }

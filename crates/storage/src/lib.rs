@@ -51,9 +51,7 @@ mod exec_tests;
 
 pub use compile::compile;
 pub use error::ExecError;
-pub use exec::{
-    execute, execute_with_lineage, is_executable, ExecOutput, Lineage, PlanSource, SourceRef,
-};
+pub use exec::{execute, execute_with_lineage, is_executable, ExecOutput, Lineage, SourceRef};
 pub use ir::{CompiledQuery, InProbe, RunStats};
 pub use plan::{describe_plan, describe_plan_analyze, PlanStep, QueryPlan};
 pub use profile::{OpProfile, PlanProfile, SubProfile};

@@ -1,6 +1,8 @@
 //! Query result sets and bag-semantics equivalence.
 
 use crate::value::{KeyValue, Value};
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 
 /// A query result: column display names plus rows.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,18 +53,24 @@ impl ResultSet {
         keyed(&self.rows) == keyed(&other.rows)
     }
 
-    /// A deterministic fingerprint of the bag of rows (used by the
-    /// test-suite metric to compare across database variants cheaply).
-    pub fn fingerprint(&self) -> String {
-        let mut keys: Vec<String> = self.rows.iter().map(|r| row_key(r)).collect();
-        keys.sort();
-        format!("{}cols|{}", self.columns.len(), keys.join("\n"))
+    /// An order-independent hash of the bag of rows: equal for any two
+    /// results [`ResultSet::bag_eq`] calls equal, so a differing
+    /// fingerprint proves two bags differ and only a match needs
+    /// `bag_eq` to confirm it. Each row hashes its [`Value::key`]s, and the
+    /// rows' hashes are summed, so row order does not matter while
+    /// duplicates still do.
+    pub fn fingerprint(&self) -> u64 {
+        let rows = self.rows.iter().fold(0u64, |sum, row| {
+            let mut h = DefaultHasher::new();
+            for v in row {
+                v.key().hash(&mut h);
+            }
+            sum.wrapping_add(h.finish())
+        });
+        let mut h = DefaultHasher::new();
+        (self.columns.len(), self.rows.len(), rows).hash(&mut h);
+        h.finish()
     }
-}
-
-fn row_key(row: &[Value]) -> String {
-    let parts: Vec<String> = row.iter().map(Value::group_key).collect();
-    parts.join("\u{1}")
 }
 
 #[cfg(test)]
@@ -116,5 +124,55 @@ mod tests {
         let a = rs(&["x"], vec![vec![Value::Int(1)], vec![Value::Int(2)]]);
         let b = rs(&["x"], vec![vec![Value::Int(2)], vec![Value::Int(1)]]);
         assert_eq!(a.fingerprint(), b.fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_agrees_with_bag_eq() {
+        // Equal bags must hash equal: a cache compares fingerprints first
+        // and trusts a mismatch without running `bag_eq`.
+        let one = |v: Value| rs(&["x"], vec![vec![v]]);
+        let equal = [
+            (one(Value::Int(1)), one(Value::Float(1.0))),
+            (one(Value::Bool(true)), one(Value::Int(1))),
+            (one(Value::Float(f64::NAN)), one(Value::Float(-f64::NAN))),
+            (one(Value::Null), one(Value::Null)),
+            (
+                rs(
+                    &["a", "b"],
+                    vec![vec![Value::Int(2), Value::Str("s".into())]],
+                ),
+                rs(
+                    &["c", "d"],
+                    vec![vec![Value::Float(2.0), Value::Str("s".into())]],
+                ),
+            ),
+        ];
+        for (a, b) in &equal {
+            assert!(a.bag_eq(b), "{a:?} vs {b:?}");
+            assert_eq!(a.fingerprint(), b.fingerprint(), "{a:?} vs {b:?}");
+        }
+        // `bag_eq` keeps -0.0 and 0.0 apart (their keys differ), and so
+        // does the fingerprint.
+        let (neg, pos) = (one(Value::Float(-0.0)), one(Value::Float(0.0)));
+        assert!(!neg.bag_eq(&pos));
+        assert_ne!(neg.fingerprint(), pos.fingerprint());
+        let differ = [
+            (one(Value::Int(1)), one(Value::Int(2))),
+            (one(Value::Int(1)), one(Value::Str("1".into()))),
+            (one(Value::Null), one(Value::Str(String::new()))),
+            (
+                rs(&["x"], vec![vec![Value::Int(1)], vec![Value::Int(1)]]),
+                rs(&["x"], vec![vec![Value::Int(1)]]),
+            ),
+            (
+                rs(&["x"], vec![vec![Value::Int(1)], vec![Value::Int(1)]]),
+                rs(&["x"], vec![vec![Value::Int(1)], vec![Value::Int(2)]]),
+            ),
+            (rs(&["x", "y"], Vec::new()), rs(&["x"], Vec::new())),
+        ];
+        for (a, b) in &differ {
+            assert!(!a.bag_eq(b), "{a:?} vs {b:?}");
+            assert_ne!(a.fingerprint(), b.fingerprint(), "{a:?} vs {b:?}");
+        }
     }
 }
