@@ -15,6 +15,7 @@ use cyclesql_obs::{Span, SpanCtx};
 use cyclesql_provenance::{track_provenance, Provenance, ProvenanceTable};
 use cyclesql_sql::{parse, Query};
 use cyclesql_storage::{compile, execute, Database, ExecOpts, ResultSet};
+use std::borrow::Borrow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -73,8 +74,12 @@ pub struct CycleSql {
 /// path.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageTimings {
-    /// Model inference. The loop itself never runs the model, so it leaves
-    /// this at zero; callers that own inference (the serving engine) fill it.
+    /// Model inference: the time the loop spent pulling candidates after
+    /// the first from its stream (a lazy beam draws each one then), plus
+    /// whatever the caller adds for its own inference (the serving engine
+    /// adds its gold preparation and top-1 draw). The first candidate is
+    /// pulled before the loop's clock starts, so a loop over one candidate,
+    /// or over a list the caller already drew, reports next to nothing.
     pub translate: Duration,
     /// Candidate execution on the database.
     pub execute: Duration,
@@ -144,7 +149,8 @@ pub struct LoopOutcome {
     /// The explanation of the chosen candidate, when one was generated
     /// (shared with the run cache's entry when one holds it).
     pub explanation: Option<Arc<Explanation>>,
-    /// Wall-clock overhead of the loop itself (excluding model inference).
+    /// Wall-clock overhead of the loop itself (excluding model inference:
+    /// the time spent drawing candidates is in `stages.translate`).
     pub overhead: Duration,
     /// The chosen candidate's parsed query, when it parsed — consumers can
     /// compute EM without re-parsing `chosen_sql`.
@@ -153,8 +159,8 @@ pub struct LoopOutcome {
     /// executed during the loop — consumers can compute EX without
     /// re-executing `chosen_sql`.
     pub chosen_result: Option<Arc<ResultSet>>,
-    /// Per-stage wall-clock, summed over iterations (`translate` is zero
-    /// unless the caller fills it).
+    /// Per-stage wall-clock, summed over iterations (`translate` holds only
+    /// the loop's own draws unless the caller adds to it).
     pub stages: StageTimings,
     /// Whether a [`RunControls::deadline`] abandoned the loop before every
     /// candidate was examined.
@@ -173,8 +179,8 @@ impl CycleSql {
     /// Runs the feedback loop over ranked string candidates.
     ///
     /// Thin wrapper over [`CycleSql::run_prepared`]: parses each candidate
-    /// once and — for the oracle verifier only — executes the gold once,
-    /// instead of per candidate.
+    /// the loop reaches once and — for the oracle verifier only — executes
+    /// the gold once, instead of per candidate.
     ///
     /// `item` supplies the NL question (hypothesis); the gold SQL on the
     /// item is used **only** by the oracle verifier (the paper's headroom
@@ -185,37 +191,36 @@ impl CycleSql {
         db: &Database,
         candidates: &[Candidate],
     ) -> LoopOutcome {
-        let prepared: Vec<PreparedCandidate> = candidates
-            .iter()
-            .map(|c| PreparedCandidate {
-                sql: c.sql.clone(),
-                ast: parse(&c.sql).ok().map(Arc::new),
-                run: None,
-                rank: c.rank,
-                score: c.score,
-            })
-            .collect();
+        let prepared = candidates.iter().map(|c| PreparedCandidate {
+            sql: c.sql.clone(),
+            ast: parse(&c.sql).ok().map(Arc::new),
+            run: None,
+            rank: c.rank,
+            score: c.score,
+        });
         let gold_result = match &self.verifier {
             LoopVerifier::Oracle => parse(&item.gold_sql)
                 .ok()
                 .and_then(|q| execute(db, &q).ok()),
             _ => None,
         };
-        self.run_prepared(item, db, &prepared, gold_result.as_ref())
+        self.run_prepared(item, db, prepared, gold_result.as_ref())
     }
 
-    /// Runs the feedback loop over prepared candidates.
+    /// Runs the feedback loop over prepared candidates: a slice, or a stream
+    /// such as [`cyclesql_models::Beam`] that draws each candidate only when
+    /// the loop reaches it.
     ///
     /// `gold_result` is the gold query's (cached) result on `db`; it is
     /// consulted **only** by the oracle verifier, whose verdict is
     /// "entails iff the candidate's result bag-equals the gold's" — the
     /// same decision [`crate::metrics::ex_correct`] makes, minus all the
     /// redundant parsing and gold re-execution.
-    pub fn run_prepared(
+    pub fn run_prepared<C: Borrow<PreparedCandidate>>(
         &self,
         item: &BenchmarkItem,
         db: &Database,
-        candidates: &[PreparedCandidate],
+        candidates: impl IntoIterator<Item = C>,
         gold_result: Option<&ResultSet>,
     ) -> LoopOutcome {
         self.run_controlled(item, db, candidates, gold_result, &RunControls::default())
@@ -227,32 +232,67 @@ impl CycleSql {
     /// run cache (hits skip candidate execution, and a memoized explanation
     /// skips provenance and explanation).
     ///
+    /// The loop pulls candidates one at a time and stops pulling once one
+    /// is accepted, so a lazy stream draws only what the loop examines. The
+    /// top-1 is pulled first, before the clock starts and before any
+    /// deadline check, so every run can fall back to it. Each later pull
+    /// is timed into [`StageTimings::translate`] (not `overhead`) and, when
+    /// traced, shows as a `translate` child of that candidate's `cycle`
+    /// span.
+    ///
     /// With default controls this is exactly [`CycleSql::run_prepared`].
-    pub fn run_controlled(
+    pub fn run_controlled<C: Borrow<PreparedCandidate>>(
         &self,
         item: &BenchmarkItem,
         db: &Database,
-        candidates: &[PreparedCandidate],
+        candidates: impl IntoIterator<Item = C>,
         gold_result: Option<&ResultSet>,
         controls: &RunControls<'_>,
     ) -> LoopOutcome {
+        let mut candidates = candidates.into_iter();
+        let top1 = candidates.next();
         let start = Instant::now();
         let mut stages = StageTimings::default();
         let mut timed_out = false;
         let mut examined = 0usize;
         let mut chosen: Option<ChosenCandidate> = None;
         let mut first_explained: Option<Arc<Explanation>> = None;
-        // The top-1 candidate's artifacts, kept for the fallback outcome.
+        // The top-1 candidate's result, kept for the fallback outcome.
         let mut top1_result: Option<Arc<ResultSet>> = None;
+        // The candidate under examination, once past the top-1.
+        let mut later: Option<C> = None;
 
-        for (i, cand) in candidates.iter().enumerate() {
+        loop {
             if controls.expired() {
                 timed_out = true;
                 break;
             }
+            let i = examined;
+            let drawn_at = Instant::now();
+            let cand: &PreparedCandidate = if i == 0 {
+                match &top1 {
+                    Some(c) => c.borrow(),
+                    None => break,
+                }
+            } else {
+                match candidates.next() {
+                    Some(c) => (*later.insert(c)).borrow(),
+                    None => {
+                        stages.translate += drawn_at.elapsed();
+                        break;
+                    }
+                }
+            };
             let iteration = i + 1;
             examined = iteration;
-            let mut cand_span = controls.span.child("cycle");
+            // A pulled candidate's cycle span starts when its draw did.
+            let mut cand_span = controls.span.child_from("cycle", drawn_at);
+            if i > 0 {
+                if let Some(s) = &cand_span {
+                    s.child_from("translate", drawn_at).finish();
+                }
+                stages.translate += drawn_at.elapsed();
+            }
             if let Some(s) = cand_span.as_mut() {
                 s.set("candidate", i);
                 s.set("rank", cand.rank);
@@ -454,7 +494,7 @@ impl CycleSql {
             }
         }
 
-        let overhead = start.elapsed();
+        let overhead = start.elapsed().saturating_sub(stages.translate);
         match chosen {
             Some(c) => LoopOutcome {
                 chosen_sql: c.sql,
@@ -467,26 +507,23 @@ impl CycleSql {
                 stages,
                 timed_out,
             },
-            None => LoopOutcome {
-                // Nothing validated: fall back to the top-1 candidate. A
-                // timed-out run reports only the candidates it examined.
-                chosen_sql: candidates
-                    .first()
-                    .map(|c| c.sql.clone())
-                    .unwrap_or_default(),
-                iterations: if timed_out {
-                    examined
-                } else {
-                    candidates.len()
-                },
-                accepted: false,
-                explanation: first_explained,
-                overhead,
-                chosen_ast: candidates.first().and_then(|c| c.ast.clone()),
-                chosen_result: top1_result,
-                stages,
-                timed_out,
-            },
+            None => {
+                // Nothing validated: fall back to the top-1 candidate. The
+                // run examined every candidate it drew (all of them, unless
+                // the deadline cut it short).
+                let top1 = top1.as_ref().map(|c| c.borrow());
+                LoopOutcome {
+                    chosen_sql: top1.map(|c| c.sql.clone()).unwrap_or_default(),
+                    iterations: examined,
+                    accepted: false,
+                    explanation: first_explained,
+                    overhead,
+                    chosen_ast: top1.and_then(|c| c.ast.clone()),
+                    chosen_result: top1_result,
+                    stages,
+                    timed_out,
+                }
+            }
         }
     }
 }
@@ -865,6 +902,43 @@ mod control_tests {
         assert_eq!(outcome.chosen_sql, cands[0].sql);
     }
 
+    #[test]
+    fn loop_pulls_only_the_candidates_it_examines() {
+        use std::cell::Cell;
+        let ctx = ExperimentContext::shared_quick();
+        let item = &ctx.spider.dev[0];
+        let db = ctx.spider.database(item);
+        let cycle = CycleSql::new(LoopVerifier::AlwaysAccept(AlwaysAcceptVerifier));
+        let gold = item.gold_sql.as_str();
+        let cands = prepared(&["NOT SQL @@@", gold, gold, gold]);
+        let pulled = Cell::new(0usize);
+        let stream = || cands.iter().inspect(|_| pulled.set(pulled.get() + 1));
+        // The unparseable top-1 is skipped; the second is accepted and the
+        // rest are never pulled.
+        let outcome = cycle.run_prepared(item, db, stream(), None);
+        assert!(outcome.accepted);
+        assert_eq!((outcome.iterations, pulled.get()), (2, 2));
+        assert!(outcome.stages.loop_total() <= outcome.overhead);
+        // A run that validates nothing pulls (and examines) everything.
+        let rejecting = CycleSql::new(LoopVerifier::Oracle);
+        pulled.set(0);
+        let outcome = rejecting.run_prepared(item, db, stream(), None);
+        assert!(!outcome.accepted);
+        assert_eq!((outcome.iterations, pulled.get()), (4, 4));
+        assert_eq!(outcome.chosen_sql, cands[0].sql, "top-1 fallback");
+        // An expired deadline still pulls the top-1 for the fallback, and
+        // nothing more.
+        pulled.set(0);
+        let controls = RunControls {
+            deadline: Some(Instant::now() - Duration::from_millis(1)),
+            ..RunControls::default()
+        };
+        let outcome = cycle.run_controlled(item, db, stream(), None, &controls);
+        assert!(outcome.timed_out);
+        assert_eq!((outcome.iterations, pulled.get()), (0, 1));
+        assert_eq!(outcome.chosen_sql, cands[0].sql);
+    }
+
     /// A memoizing run cache that counts its lookups and explanation
     /// builds.
     #[derive(Default)]
@@ -1072,6 +1146,10 @@ mod tracing_tests {
         assert_eq!(good_cycle.parent_id, Some(root.span_id));
         let exec = records.iter().find(|r| r.name == "execute").unwrap();
         assert_eq!(exec.parent_id, Some(good_cycle.span_id));
+        // The loop drew the second candidate itself, under its cycle span.
+        let draws: Vec<_> = records.iter().filter(|r| r.name == "translate").collect();
+        assert_eq!(draws.len(), 1, "one draw after the top-1");
+        assert_eq!(draws[0].parent_id, Some(good_cycle.span_id));
     }
 
     #[test]

@@ -16,7 +16,6 @@ use crate::session::EvalSession;
 use cyclesql_benchgen::{Split, Variant};
 use cyclesql_models::{SimulatedModel, TranslationRequest};
 use cyclesql_sql::{CanonicalSql, Difficulty};
-use cyclesql_storage::execute;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -205,20 +204,18 @@ pub fn evaluate(model: &SimulatedModel, opts: &EvalOptions<'_>) -> EvalResult {
             severity,
             science,
         };
-        let candidates = model.translate_prepared(&req, prep.as_prepared_gold().as_ref());
+        let gold = prep.as_prepared_gold();
+        let mut beam = model.beam(&req, gold.as_ref());
         let (chosen_ast, chosen_result, iterations, overhead_ms) = match opts.mode {
             EvalMode::Base => {
-                let top1_ast = candidates.first().and_then(|c| c.ast.clone());
-                let top1_result = top1_ast
-                    .as_deref()
-                    .and_then(|q| execute(db, q).ok())
-                    .map(std::sync::Arc::new);
-                (top1_ast, top1_result, 1usize, 0.0)
+                // Only the top-1 is drawn.
+                let top1 = beam.next();
+                let top1_result = top1.as_ref().and_then(|c| c.result(db));
+                (top1.and_then(|c| c.ast), top1_result, 1usize, 0.0)
             }
             EvalMode::CycleSql => {
                 let cycle = opts.cycle.expect("CycleSql mode requires a loop");
-                let outcome =
-                    cycle.run_prepared(item, db, &candidates, prep.gold_result.as_deref());
+                let outcome = cycle.run_prepared(item, db, beam, prep.gold_result.as_deref());
                 (
                     outcome.chosen_ast,
                     outcome.chosen_result,
@@ -317,13 +314,14 @@ pub fn evaluate_science_em(
             severity: session.variant.severity(),
             science: true,
         };
-        let candidates = model.translate_prepared(&req, prep.as_prepared_gold().as_ref());
+        let gold = prep.as_prepared_gold();
+        let mut beam = model.beam(&req, gold.as_ref());
         let chosen_ast = match mode {
-            EvalMode::Base => candidates.first().and_then(|c| c.ast.clone()),
+            EvalMode::Base => beam.next().and_then(|c| c.ast),
             EvalMode::CycleSql => {
                 cycle
                     .expect("loop")
-                    .run_prepared(item, db, &candidates, prep.gold_result.as_deref())
+                    .run_prepared(item, db, beam, prep.gold_result.as_deref())
                     .chosen_ast
             }
         };
@@ -355,16 +353,14 @@ pub fn any_beam_accuracy(
             severity: session.variant.severity(),
             science: session.variant == Variant::Science,
         };
-        let candidates = model.translate_prepared(&req, prep.as_prepared_gold().as_ref());
-        let gold = prep.gold_result.as_deref();
-        acc.record(gold.is_some_and(|g| {
-            candidates.iter().any(|c| {
-                c.ast
-                    .as_deref()
-                    .and_then(|q| execute(db, q).ok())
-                    .is_some_and(|r| r.bag_eq(g))
-            })
-        }));
+        // Drawing stops at the first correct candidate.
+        let gold = prep.as_prepared_gold();
+        let mut beam = model.beam(&req, gold.as_ref());
+        acc.record(
+            prep.gold_result
+                .as_deref()
+                .is_some_and(|g| beam.any(|c| c.result(db).is_some_and(|r| r.bag_eq(g)))),
+        );
     }
     acc.pct()
 }

@@ -9,16 +9,17 @@
 //! the trainer uses focal loss.
 //!
 //! Collection consumes a prepared [`EvalSession`]: the gold parse and gold
-//! execution per item come from the session's caches, and each mined
-//! candidate is parsed and executed exactly once (shared between the
-//! error check and the premise build).
+//! execution per item come from the session's caches. Candidates are drawn
+//! from each model's beam only until the item's negatives are full, and
+//! each is executed at most once (shared between the error check and the
+//! premise build): not at all when it carries the run the simulator
+//! validated it with.
 
 use crate::cycle::{premise_from_parts, FeedbackKind};
 use crate::session::EvalSession;
 use cyclesql_benchgen::Split;
 use cyclesql_models::{SimulatedModel, TranslationRequest};
 use cyclesql_nli::{extract_features, NliModel, TrainConfig, TrainedVerifier, TrainingExample};
-use cyclesql_storage::execute;
 
 /// Configuration for training-set collection.
 #[derive(Debug, Clone, Copy)]
@@ -74,10 +75,8 @@ pub fn collect_training_data(
         }
         // Negatives: erroneous translations from the baseline models.
         let mut negatives_here = 0usize;
+        let gold = prep.as_prepared_gold();
         for model in models {
-            if negatives_here >= config.max_negatives_per_item {
-                break;
-            }
             let req = TranslationRequest {
                 item,
                 db,
@@ -85,15 +84,16 @@ pub fn collect_training_data(
                 severity: 0.0,
                 science: false,
             };
-            for cand in model.translate_prepared(&req, prep.as_prepared_gold().as_ref()) {
-                if negatives_here >= config.max_negatives_per_item {
+            let mut beam = model.beam(&req, gold.as_ref());
+            while negatives_here < config.max_negatives_per_item {
+                let Some(cand) = beam.next() else {
                     break;
-                }
+                };
                 let Some(ast) = cand.ast.as_deref() else {
                     continue;
                 };
-                let result = execute(db, ast).ok();
-                let ex = match (prep.gold_result.as_deref(), result.as_ref()) {
+                let result = cand.result(db);
+                let ex = match (prep.gold_result.as_deref(), result.as_deref()) {
                     (Some(g), Some(c)) => c.bag_eq(g),
                     _ => false,
                 };
@@ -101,7 +101,7 @@ pub fn collect_training_data(
                     continue; // only erroneous translations become negatives
                 }
                 if let Some((text, facets)) =
-                    premise_from_parts(db, ast, result.as_ref(), config.feedback)
+                    premise_from_parts(db, ast, result.as_deref(), config.feedback)
                 {
                     examples.push(TrainingExample {
                         features: extract_features(&item.question, &text, &facets),
@@ -133,8 +133,10 @@ pub fn train_verifier(
 mod tests {
     use super::*;
     use crate::cycle::candidate_premise;
+    use crate::experiments::ExperimentContext;
     use cyclesql_benchgen::{build_spider_suite, SuiteConfig, Variant};
     use cyclesql_models::ModelProfile;
+    use cyclesql_storage::execute;
 
     fn small_session() -> EvalSession {
         EvalSession::new(build_spider_suite(
@@ -194,6 +196,95 @@ mod tests {
             pos_ok as f64 / pos_total as f64 > 0.7,
             "gold entailment recall too low: {pos_ok}/{pos_total}"
         );
+    }
+
+    /// The reference collection: every candidate drawn, each executed
+    /// afresh.
+    fn fresh_execute_reference(
+        session: &EvalSession,
+        models: &[SimulatedModel],
+        config: CollectConfig,
+    ) -> Vec<TrainingExample> {
+        let mut examples = Vec::new();
+        for (idx, item) in session.suite().train.iter().enumerate() {
+            let prep = session.prepared_item(Split::Train, idx);
+            let db = session.database(item);
+            let gold = prep.gold_result.as_deref();
+            let mut push =
+                |text: &str, facets: &cyclesql_explain::ExplanationFacets, entailment| {
+                    examples.push(TrainingExample {
+                        features: extract_features(&item.question, text, facets),
+                        entailment,
+                    })
+                };
+            if let Some((text, facets)) = prep
+                .gold_ast
+                .as_deref()
+                .and_then(|g| premise_from_parts(db, g, gold, config.feedback))
+            {
+                push(&text, &facets, true);
+            }
+            let mut negatives_here = 0usize;
+            for model in models {
+                let req = TranslationRequest {
+                    item,
+                    db,
+                    k: config.k,
+                    severity: 0.0,
+                    science: false,
+                };
+                for cand in model.translate_prepared(&req, prep.as_prepared_gold().as_ref()) {
+                    if negatives_here >= config.max_negatives_per_item {
+                        break;
+                    }
+                    let Some(ast) = cand.ast.as_deref() else {
+                        continue;
+                    };
+                    let result = execute(db, ast).ok();
+                    if gold.zip(result.as_ref()).is_some_and(|(g, c)| c.bag_eq(g)) {
+                        continue;
+                    }
+                    if let Some((text, facets)) =
+                        premise_from_parts(db, ast, result.as_ref(), config.feedback)
+                    {
+                        push(&text, &facets, false);
+                        negatives_here += 1;
+                    }
+                }
+            }
+        }
+        examples
+    }
+
+    #[test]
+    fn lazy_collection_matches_fresh_execute_reference() {
+        // The quick context's training set, and a tighter negatives cap:
+        // the examples, and so the trained weights, are bit-identical.
+        let ctx = ExperimentContext::shared_quick();
+        let models = [
+            SimulatedModel::new(ModelProfile::smbop()),
+            SimulatedModel::new(ModelProfile::resdsql_large()),
+            SimulatedModel::new(ModelProfile::gpt35()),
+        ];
+        for cap in [CollectConfig::default().max_negatives_per_item, 2] {
+            let config = CollectConfig {
+                max_negatives_per_item: cap,
+                ..CollectConfig::default()
+            };
+            let reference = fresh_execute_reference(&ctx.spider, &models, config);
+            let (examples, stats) = collect_training_data(&ctx.spider, &models, config);
+            assert!(stats.negatives > stats.positives, "cap {cap}");
+            assert_eq!(examples.len(), reference.len(), "cap {cap}");
+            for (i, (got, want)) in examples.iter().zip(&reference).enumerate() {
+                assert_eq!(got.entailment, want.entailment, "cap {cap}, example {i}");
+                let bits = |f: &[f64]| f.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&got.features),
+                    bits(&want.features),
+                    "cap {cap}, example {i}"
+                );
+            }
+        }
     }
 
     #[test]

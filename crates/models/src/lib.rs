@@ -39,5 +39,5 @@ pub mod simulate;
 pub use error_ops::{apply_error_op, apply_random_error, ErrorOp};
 pub use profile::{ModelKind, ModelProfile};
 pub use simulate::{
-    Candidate, PreparedCandidate, PreparedGold, SimStats, SimulatedModel, TranslationRequest,
+    Beam, Candidate, PreparedCandidate, PreparedGold, SimStats, SimulatedModel, TranslationRequest,
 };

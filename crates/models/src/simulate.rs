@@ -4,6 +4,12 @@
 //! ranked list of SQL strings exactly as a beam decoder or a chat-completion
 //! API would. Whether a candidate is right is decided downstream by
 //! executing it, precisely as the paper's evaluation does.
+//!
+//! The list is a stream ([`SimulatedModel::beam`]): each candidate, with
+//! its error operators and validation runs, is drawn only when a consumer
+//! pulls it, so a feedback loop that accepts its first candidate draws one.
+//! The simulated latency ([`SimulatedModel::inference_latency_ms`]) still
+//! models one inference call producing the whole list.
 
 use crate::error_ops::apply_random_error;
 use crate::profile::{ModelKind, ModelProfile};
@@ -11,7 +17,7 @@ use cyclesql_benchgen::BenchmarkItem;
 use cyclesql_explain::{CachedRun, RunCache};
 use cyclesql_rng::StdRng;
 use cyclesql_sql::{parse, to_sql, AggFunc, BinOp, Expr, FuncArg, Literal, Query, SelectItem};
-use cyclesql_storage::{Database, ExecOpts};
+use cyclesql_storage::{execute, Database, ExecOpts, ResultSet};
 use std::sync::Arc;
 
 /// One translation candidate, as emitted by a model.
@@ -66,6 +72,16 @@ pub struct PreparedCandidate {
 }
 
 impl PreparedCandidate {
+    /// The candidate's result on the item's database: the run it carries,
+    /// else a fresh execution; `None` when it does not parse or run.
+    pub fn result(&self, db: &Database) -> Option<Arc<ResultSet>> {
+        let ast = self.ast.as_deref()?;
+        match &self.run {
+            Some(run) => Some(Arc::clone(&run.result)),
+            None => execute(db, ast).ok().map(Arc::new),
+        }
+    }
+
     /// Drops the parse artifact, leaving the plain string candidate.
     pub fn into_candidate(self) -> Candidate {
         Candidate {
@@ -76,12 +92,14 @@ impl PreparedCandidate {
     }
 }
 
-/// How hard one translation worked to make its wrong candidates: each
-/// attempt draws error operators and runs the result on the database; an
-/// attempt is retried when the query fails to run or (usually) when its
-/// result equals the gold's.
+/// How much of a beam was drawn, and how hard it worked to make its wrong
+/// candidates: each attempt draws error operators and runs the result on
+/// the database; an attempt is retried when the query fails to run or
+/// (usually) when its result equals the gold's.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
+    /// Candidates drawn.
+    pub candidates: u64,
     /// Validation runs of drawn wrong queries.
     pub attempts: u64,
     /// Attempts rejected and drawn again (or given up on for the fallback).
@@ -148,25 +166,35 @@ impl SimulatedModel {
     }
 
     /// [`SimulatedModel::translate_prepared`], also reporting the wrong
-    /// candidates' validation attempts and retries.
+    /// candidates' validation attempts and retries: the whole
+    /// [`SimulatedModel::beam`], drawn.
     pub fn translate_counted(
         &self,
         req: &TranslationRequest<'_>,
         gold: Option<&PreparedGold<'_>>,
     ) -> (Vec<PreparedCandidate>, SimStats) {
-        let mut stats = SimStats::default();
-        let gold_ast: Arc<Query> = match gold {
-            Some(g) => Arc::clone(&g.ast),
-            None => match parse(&req.item.gold_sql) {
-                Ok(q) => Arc::new(q),
-                Err(_) => return (Vec::new(), stats),
-            },
+        let mut beam = self.beam(req, gold);
+        let candidates = beam.by_ref().collect();
+        (candidates, beam.stats())
+    }
+
+    /// The ranked candidate list as a stream: each candidate is drawn when
+    /// it is pulled, so a consumer that stops early (the feedback loop
+    /// accepting a candidate) never pays for the rest.
+    ///
+    /// Candidate `i` depends only on the RNG state the first `i` left
+    /// behind, never on how far the stream is read or on a result source,
+    /// so every prefix equals the same prefix of
+    /// [`SimulatedModel::translate_prepared`].
+    pub fn beam<'a>(
+        &'a self,
+        req: &TranslationRequest<'a>,
+        gold: Option<&'a PreparedGold<'a>>,
+    ) -> Beam<'a> {
+        let gold_ast: Option<Arc<Query>> = match gold {
+            Some(g) => Some(Arc::clone(&g.ast)),
+            None => parse(&req.item.gold_sql).ok().map(Arc::new),
         };
-        // The gold run is only needed to keep wrong candidates
-        // execution-distinct; compute it lazily so a k=1 correct beam never
-        // executes the gold at all (matching the string path's cost shape).
-        let mut gold_run: Option<Option<Arc<CachedRun>>> = gold.map(|g| g.run.clone());
-        let source = gold.and_then(|g| g.source);
         let mut rng =
             StdRng::seed_from_u64(fxhash(self.profile.name) ^ fxhash(&req.item.id) ^ 0x5117);
 
@@ -178,8 +206,11 @@ impl SimulatedModel {
         }
         let p1 = p1.clamp(0.02, 0.98);
 
-        // Where does the first correct candidate sit?
-        let first_correct: Option<usize> = if rng.gen_bool(p1) {
+        // Where does the first correct candidate sit? (An unparseable gold
+        // yields an empty beam and draws nothing.)
+        let first_correct: Option<usize> = if gold_ast.is_none() {
+            None
+        } else if rng.gen_bool(p1) {
             Some(0)
         } else if rng.gen_bool(self.profile.beam_recovery.clamp(0.0, 1.0)) {
             let mut rank = 1usize;
@@ -191,61 +222,123 @@ impl SimulatedModel {
             None
         };
 
-        let mut candidates = Vec::with_capacity(req.k);
-        for rank in 0..req.k {
-            let (sql, ast, run) = if Some(rank) == first_correct {
-                let style_p = if req.science {
-                    self.profile.science_style_divergence
-                } else {
-                    self.profile.style_divergence
-                };
-                let styled = rng.gen_bool(style_p);
-                if styled {
-                    let q = restyle(&gold_ast, req.db, &mut rng);
-                    (to_sql(&q), Some(Arc::new(q)), None)
-                } else {
-                    let sql = gold.map_or_else(|| to_sql(&gold_ast), |g| g.sql.clone());
-                    (sql, Some(Arc::clone(&gold_ast)), gold_run.clone().flatten())
-                }
-            } else if self.profile.kind == ModelKind::Llm && rng.gen_bool(self.profile.invalid_rate)
-            {
-                // LLMs occasionally emit non-SQL garbage.
-                let sql = format!("{} AND AND ???", req.item.gold_sql);
-                let ast = parse(&sql).ok().map(Arc::new);
-                (sql, ast, None)
-            } else {
-                let gr = gold_run
-                    .get_or_insert_with(|| {
-                        CachedRun::execute(req.db, &gold_ast, &ExecOpts::default())
-                    })
-                    .clone();
-                wrong_candidate(
-                    &gold_ast,
-                    gr.as_deref(),
-                    req.db,
-                    source,
-                    &mut rng,
-                    &mut stats,
-                )
-            };
-            candidates.push(PreparedCandidate {
-                sql,
-                ast,
-                run,
-                rank,
-                score: 1.0 - rank as f64 * 0.07,
-            });
+        Beam {
+            profile: &self.profile,
+            req: *req,
+            gold,
+            // The gold run is only needed to keep wrong candidates
+            // execution-distinct; it is computed lazily so a k=1 correct
+            // beam never executes the gold at all.
+            gold_run: gold.map(|g| g.run.clone()),
+            end: if gold_ast.is_some() { req.k } else { 0 },
+            gold_ast,
+            rng,
+            first_correct,
+            rank: 0,
+            stats: SimStats::default(),
         }
-        (candidates, stats)
     }
 
-    /// Simulated wall-clock for one inference call (producing the whole
+    /// Simulated wall-clock for one inference call producing the whole
     /// candidate list — beam search and the `n` API parameter both amortize
-    /// candidates into a single call).
+    /// candidates into a single call. The simulator itself draws candidates
+    /// on demand ([`SimulatedModel::beam`]); the latency model still
+    /// charges the one call.
     pub fn inference_latency_ms(&self) -> f64 {
         self.profile.latency_ms
     }
 }
+
+/// A candidate list drawn on demand, in rank order; see
+/// [`SimulatedModel::beam`].
+pub struct Beam<'a> {
+    profile: &'a ModelProfile,
+    req: TranslationRequest<'a>,
+    gold: Option<&'a PreparedGold<'a>>,
+    /// `None` until the gold has run (or was supplied).
+    gold_run: Option<Option<Arc<CachedRun>>>,
+    /// `None` when the gold does not parse; the beam is then empty.
+    gold_ast: Option<Arc<Query>>,
+    rng: StdRng,
+    first_correct: Option<usize>,
+    /// The rank of the next candidate.
+    rank: usize,
+    /// One past the last rank (`0` for an empty beam).
+    end: usize,
+    stats: SimStats,
+}
+
+impl Beam<'_> {
+    /// Counters over the candidates drawn so far.
+    pub fn stats(&self) -> SimStats {
+        self.stats
+    }
+}
+
+impl Iterator for Beam<'_> {
+    type Item = PreparedCandidate;
+
+    fn next(&mut self) -> Option<PreparedCandidate> {
+        if self.rank >= self.end {
+            return None;
+        }
+        let Beam {
+            profile,
+            req,
+            gold,
+            gold_run,
+            gold_ast,
+            rng,
+            first_correct,
+            rank,
+            stats,
+            ..
+        } = self;
+        let gold_ast = gold_ast.as_ref()?;
+        let (sql, ast, run) = if Some(*rank) == *first_correct {
+            let style_p = if req.science {
+                profile.science_style_divergence
+            } else {
+                profile.style_divergence
+            };
+            if rng.gen_bool(style_p) {
+                let q = restyle(gold_ast, req.db, rng);
+                (to_sql(&q), Some(Arc::new(q)), None)
+            } else {
+                let sql = gold.map_or_else(|| to_sql(gold_ast), |g| g.sql.clone());
+                (sql, Some(Arc::clone(gold_ast)), gold_run.clone().flatten())
+            }
+        } else if profile.kind == ModelKind::Llm && rng.gen_bool(profile.invalid_rate) {
+            // LLMs occasionally emit non-SQL garbage.
+            let sql = format!("{} AND AND ???", req.item.gold_sql);
+            let ast = parse(&sql).ok().map(Arc::new);
+            (sql, ast, None)
+        } else {
+            let gr = gold_run
+                .get_or_insert_with(|| CachedRun::execute(req.db, gold_ast, &ExecOpts::default()))
+                .clone();
+            let source = gold.and_then(|g| g.source);
+            wrong_candidate(gold_ast, gr.as_deref(), req.db, source, rng, stats)
+        };
+        let cand = PreparedCandidate {
+            sql,
+            ast,
+            run,
+            rank: *rank,
+            score: 1.0 - *rank as f64 * 0.07,
+        };
+        *rank += 1;
+        stats.candidates += 1;
+        Some(cand)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.end - self.rank;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Beam<'_> {}
 
 /// Builds an incorrect candidate: 1–2 error operators, retried until the
 /// result is executable and (best-effort) execution-distinct from the gold.
@@ -528,6 +621,80 @@ mod tests {
             !source.0.lock().unwrap().is_empty(),
             "validation runs went through the source"
         );
+    }
+
+    #[test]
+    fn every_beam_prefix_matches_the_eager_list() {
+        // Drawing lazily changes nothing: for every profile, each prefix of
+        // the stream equals the same prefix of the collected list, and a
+        // drained stream reports the eager counters.
+        let (suite, _) = setup();
+        let source = MemoSource::default();
+        for model in SimulatedModel::all() {
+            for item in suite.dev.iter().take(20) {
+                let db = suite.database(item);
+                let req = TranslationRequest {
+                    item,
+                    db,
+                    k: 8,
+                    severity: 0.0,
+                    science: false,
+                };
+                let gold_ast = Arc::new(parse(&item.gold_sql).unwrap());
+                let gold = PreparedGold {
+                    ast: Arc::clone(&gold_ast),
+                    sql: to_sql(&gold_ast),
+                    run: CachedRun::execute(db, &gold_ast, &ExecOpts::default()),
+                    source: Some(&source),
+                };
+                let (eager, eager_stats) = model.translate_counted(&req, Some(&gold));
+                assert_eq!(eager_stats.candidates, eager.len() as u64);
+                for n in 0..=eager.len() {
+                    let mut beam = model.beam(&req, Some(&gold));
+                    assert_eq!(beam.len(), eager.len());
+                    let prefix: Vec<_> = beam.by_ref().take(n).collect();
+                    assert_eq!(beam.len(), eager.len() - n);
+                    assert_eq!(beam.stats().candidates, n as u64);
+                    for (lazy, want) in prefix.iter().zip(&eager) {
+                        let at = format!(
+                            "{} {} rank {} of {n}",
+                            model.profile.name, item.id, want.rank
+                        );
+                        assert_eq!(lazy.sql, want.sql, "{at}");
+                        assert_eq!(lazy.ast, want.ast, "{at}");
+                        assert_eq!(lazy.rank, want.rank, "{at}");
+                        assert_eq!(lazy.score, want.score, "{at}");
+                        assert_eq!(
+                            lazy.run.as_ref().map(|r| &r.result),
+                            want.run.as_ref().map(|r| &r.result),
+                            "{at}: carried run"
+                        );
+                    }
+                    if n == eager.len() {
+                        assert!(beam.next().is_none());
+                        assert_eq!(beam.stats(), eager_stats, "{}", item.id);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unparseable_gold_yields_an_empty_beam() {
+        let (suite, model) = setup();
+        let mut item = suite.dev[0].clone();
+        item.gold_sql = "NOT SQL @@@".into();
+        let req = TranslationRequest {
+            item: &item,
+            db: suite.database(&suite.dev[0]),
+            k: 8,
+            severity: 0.0,
+            science: false,
+        };
+        let mut beam = model.beam(&req, None);
+        assert_eq!(beam.len(), 0);
+        assert!(beam.next().is_none());
+        assert_eq!(beam.stats(), SimStats::default());
     }
 
     #[test]

@@ -234,7 +234,13 @@ impl Tracer {
     /// Opens a new trace with a root span named `name`.
     pub fn root(&self, name: &'static str) -> Span {
         let trace_id = self.shared.next_trace.fetch_add(1, Ordering::Relaxed);
-        Span::open(Arc::clone(&self.shared), trace_id, None, name)
+        Span::open(
+            Arc::clone(&self.shared),
+            trace_id,
+            None,
+            name,
+            Instant::now(),
+        )
     }
 
     /// Opens a root span under a caller-supplied trace id — wire trace
@@ -242,7 +248,13 @@ impl Tracer {
     /// becomes this process's trace id, so client, front door, and engine
     /// spans stitch into one trace.
     pub fn root_for_trace(&self, name: &'static str, trace_id: u64) -> Span {
-        Span::open(Arc::clone(&self.shared), trace_id, None, name)
+        Span::open(
+            Arc::clone(&self.shared),
+            trace_id,
+            None,
+            name,
+            Instant::now(),
+        )
     }
 
     /// The shared overhead counters.
@@ -273,9 +285,9 @@ impl Span {
         trace_id: u64,
         parent_id: Option<u64>,
         name: &'static str,
+        start: Instant,
     ) -> Span {
         let span_id = shared.next_span.fetch_add(1, Ordering::Relaxed);
-        let start = Instant::now();
         let start_us = start.duration_since(shared.epoch).as_micros() as u64;
         Span {
             shared,
@@ -294,11 +306,19 @@ impl Span {
     /// Opens a child span. Children may be created from any thread holding
     /// a reference to the parent; they finish independently.
     pub fn child(&self, name: &'static str) -> Span {
+        self.child_from(name, Instant::now())
+    }
+
+    /// Opens a child span whose clock started at `start`: for work timed
+    /// before it was known to need a span (say, pulling an item from a
+    /// stream that may turn out empty).
+    pub fn child_from(&self, name: &'static str, start: Instant) -> Span {
         Span::open(
             Arc::clone(&self.shared),
             self.trace_id,
             Some(self.span_id),
             name,
+            start,
         )
     }
 
@@ -466,6 +486,11 @@ impl<'a> SpanCtx<'a> {
     /// Opens a child span of the context's span, or `None` when disabled.
     pub fn child(&self, name: &'static str) -> Option<Span> {
         self.span.map(|s| s.child(name))
+    }
+
+    /// [`Span::child_from`] of the context's span, or `None` when disabled.
+    pub fn child_from(&self, name: &'static str, start: Instant) -> Option<Span> {
+        self.span.map(|s| s.child_from(name, start))
     }
 }
 

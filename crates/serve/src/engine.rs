@@ -17,7 +17,7 @@ use crate::requests::{sql_digest, RequestLog, RequestSummary};
 use cyclesql_benchgen::BenchmarkItem;
 use cyclesql_core::{CachedRun, CycleSql, LoopVerifier, RunCache, RunControls, StageTimings};
 use cyclesql_explain::Explanation;
-use cyclesql_models::{PreparedGold, SimulatedModel, TranslationRequest};
+use cyclesql_models::{PreparedGold, SimStats, SimulatedModel, TranslationRequest};
 use cyclesql_obs::{
     Exemplar, SharedSpan, Span, SpanCtx, Tracer, WindowConfig, WindowSet, WindowSnapshot,
 };
@@ -610,51 +610,53 @@ fn process(shared: &Shared, job: &Job) -> Result<ServeResponse, ServeError> {
     // The `serve` span: a child of the front tier's root when one was
     // supplied (the parent's tracer carries the trace), otherwise a trace
     // root on the engine's own tracer, otherwise tracing is off.
-    let root: Option<Span> = match &job.parent {
+    let mut root: Option<Span> = match &job.parent {
         Some(parent) => parent.child("serve"),
         None => shared.tracer.as_ref().map(|t| t.root("serve")),
     };
     let trace_id = root.as_ref().map(Span::trace_id);
-    let result = match root {
-        None => process_inner(shared, job, &plans, SpanCtx::none(), false, exec_threads)
-            .map(|r| with_queue_wait(r, queue_wait)),
-        Some(mut root) => {
-            root.set("request", job.id);
-            root.set("db", job.item.db_name.as_str());
-            root.set("exec_threads", exec_threads);
-            root.set("queue_wait_us", queue_wait.as_micros() as u64);
-            let result = process_inner(
-                shared,
-                job,
-                &plans,
-                SpanCtx::of(&root),
-                shared.analyze,
-                exec_threads,
-            )
-            .map(|r| with_queue_wait(r, queue_wait));
-            root.set("plan_hits", plans.hits());
-            root.set("plan_misses", plans.misses());
-            let (translate, execute) = (&plans.translate.tally, &plans.execute.tally);
-            root.set("translate_cache_hits", load(&translate.hits));
-            root.set("translate_cache_misses", load(&translate.misses));
-            root.set("execute_cache_hits", load(&execute.hits));
-            root.set("execute_cache_misses", load(&execute.misses));
-            root.set("explain_cache_hits", load(&execute.explain_hits));
-            root.set("explain_cache_misses", load(&execute.explain_misses));
-            match &result {
-                Ok(resp) => {
-                    root.set("outcome", "ok");
-                    root.set("accepted", resp.accepted);
-                    root.set("iterations", resp.iterations);
-                }
-                Err(e) => {
-                    root.set("outcome", outcome_label(e));
-                    root.set_error();
-                }
+    if let Some(root) = root.as_mut() {
+        root.set("request", job.id);
+        root.set("db", job.item.db_name.as_str());
+        root.set("exec_threads", exec_threads);
+        root.set("queue_wait_us", queue_wait.as_micros() as u64);
+    }
+    let mut sim = SimStats::default();
+    let result = process_inner(
+        shared,
+        job,
+        &plans,
+        root.as_ref().map_or(SpanCtx::none(), SpanCtx::of),
+        root.is_some() && shared.analyze,
+        exec_threads,
+        &mut sim,
+    )
+    .map(|r| with_queue_wait(r, queue_wait));
+    if let Some(mut root) = root {
+        root.set("candidates", sim.candidates);
+        root.set("sim_attempts", sim.attempts);
+        root.set("sim_retries", sim.retries);
+        root.set("plan_hits", plans.hits());
+        root.set("plan_misses", plans.misses());
+        let (translate, execute) = (&plans.translate.tally, &plans.execute.tally);
+        root.set("translate_cache_hits", load(&translate.hits));
+        root.set("translate_cache_misses", load(&translate.misses));
+        root.set("execute_cache_hits", load(&execute.hits));
+        root.set("execute_cache_misses", load(&execute.misses));
+        root.set("explain_cache_hits", load(&execute.explain_hits));
+        root.set("explain_cache_misses", load(&execute.explain_misses));
+        match &result {
+            Ok(resp) => {
+                root.set("outcome", "ok");
+                root.set("accepted", resp.accepted);
+                root.set("iterations", resp.iterations);
             }
-            result
+            Err(e) => {
+                root.set("outcome", outcome_label(e));
+                root.set_error();
+            }
         }
-    };
+    }
     let (metrics, tally) = (&shared.metrics, &plans.execute.tally);
     metrics
         .explain_cache_hits
@@ -749,6 +751,7 @@ fn with_queue_wait(mut resp: ServeResponse, queue_wait: Duration) -> ServeRespon
     resp
 }
 
+/// Serves one request, leaving in `sim` what its beam drew.
 fn process_inner(
     shared: &Shared,
     job: &Job,
@@ -756,6 +759,7 @@ fn process_inner(
     span: SpanCtx<'_>,
     analyze: bool,
     exec_threads: usize,
+    sim: &mut SimStats,
 ) -> Result<ServeResponse, ServeError> {
     let started = Instant::now();
     let metrics = &shared.metrics;
@@ -797,19 +801,12 @@ fn process_inner(
             source: Some(&plans.translate),
         }
     });
-    let (candidates, sim) = shared.model.translate_counted(&request, gold.as_ref());
+    // The loop pulls candidates from the beam as it examines them; only
+    // the top-1, which every outcome reports, is drawn here.
+    let mut beam = shared.model.beam(&request, gold.as_ref());
+    let top1 = beam.next();
     let translate = t.elapsed();
-    if let Some(mut s) = translate_span {
-        s.set("candidates", candidates.len());
-        s.set("sim_attempts", sim.attempts);
-        s.set("sim_retries", sim.retries);
-    }
-    metrics
-        .sim_attempts
-        .fetch_add(sim.attempts, Ordering::Relaxed);
-    metrics
-        .sim_retries
-        .fetch_add(sim.retries, Ordering::Relaxed);
+    drop(translate_span);
 
     let gold_result = match &shared.cycle.verifier {
         LoopVerifier::Oracle => gold
@@ -826,14 +823,28 @@ fn process_inner(
         analyze,
         exec_threads,
     };
-    let mut outcome = shared
-        .cycle
-        .run_controlled(item, db, &candidates, gold_result, &controls);
+    let mut outcome = shared.cycle.run_controlled(
+        item,
+        db,
+        top1.into_iter().chain(&mut beam),
+        gold_result,
+        &controls,
+    );
+    *sim = beam.stats();
+    metrics
+        .sim_candidates
+        .fetch_add(sim.candidates, Ordering::Relaxed);
+    metrics
+        .sim_attempts
+        .fetch_add(sim.attempts, Ordering::Relaxed);
+    metrics
+        .sim_retries
+        .fetch_add(sim.retries, Ordering::Relaxed);
     if outcome.timed_out {
         metrics.timeouts.fetch_add(1, Ordering::Relaxed);
         return Err(ServeError::DeadlineExceeded);
     }
-    outcome.stages.translate = translate;
+    outcome.stages.translate += translate;
 
     metrics
         .iterations
@@ -1146,6 +1157,89 @@ mod tests {
         // Tracing aggregates into the same histograms the untraced engine
         // fills: the snapshot surface is unchanged.
         assert_eq!(snap.stages.total.count, 4);
+    }
+
+    #[test]
+    fn requests_draw_only_the_candidates_they_examine() {
+        // The oracle accepts at the first correct candidate, so requests
+        // stop at different iterations; each drew exactly that many.
+        let suite = quick_suite();
+        let items: Vec<Arc<BenchmarkItem>> = suite.dev.iter().cloned().map(Arc::new).collect();
+        let catalog = Arc::new(Catalog::from_suites([&suite]));
+        let (tracer, sink) = memory_tracer();
+        let engine = ServiceEngine::start_traced(
+            Arc::clone(&catalog),
+            SimulatedModel::new(ModelProfile::resdsql_3b()),
+            CycleSql::new(LoopVerifier::Oracle),
+            ServeConfig::default(),
+            tracer,
+            false,
+        );
+        for item in &items {
+            engine
+                .call(ServeRequest {
+                    item: Arc::clone(item),
+                })
+                .unwrap();
+        }
+        let snap = engine.shutdown();
+        let records = sink.records();
+        let int = |r: &cyclesql_obs::SpanRecord, key: &str| match r.attr(key) {
+            Some(cyclesql_obs::AttrValue::Int(n)) => *n,
+            other => panic!("{}.{key} = {other:?}", r.name),
+        };
+        let roots: Vec<_> = records.iter().filter(|r| r.name == "serve").collect();
+        assert_eq!(roots.len(), items.len());
+        let mut iterations = Vec::new();
+        for root in &roots {
+            assert_eq!(int(root, "candidates"), int(root, "iterations"));
+            iterations.push(int(root, "iterations"));
+            // The top-1 is drawn under the request's one `translate` span;
+            // each later draw under its own `cycle` span.
+            let cycles: Vec<_> = records
+                .iter()
+                .filter(|r| r.name == "cycle" && r.parent_id == Some(root.span_id))
+                .collect();
+            assert_eq!(cycles.len() as i64, int(root, "iterations"));
+            for cycle in cycles {
+                let draws = records
+                    .iter()
+                    .filter(|r| r.name == "translate" && r.parent_id == Some(cycle.span_id))
+                    .count();
+                assert_eq!(draws, usize::from(int(cycle, "candidate") > 0));
+            }
+        }
+        assert!(
+            iterations.iter().any(|&i| i > 1) && iterations.contains(&1),
+            "requests stopped at different iterations: {iterations:?}"
+        );
+        let drawn: i64 = iterations.iter().sum();
+        assert_eq!(snap.sim_candidates, drawn as u64);
+        assert!(snap.sim_candidates < (items.len() * ServeConfig::default().k) as u64);
+
+        // An always-accepting verifier takes the first candidate that runs:
+        // nearly always the top-1, so nearly one draw per request.
+        let engine = ServiceEngine::start(
+            catalog,
+            SimulatedModel::new(ModelProfile::resdsql_3b()),
+            CycleSql::new(LoopVerifier::AlwaysAccept(
+                cyclesql_nli::AlwaysAcceptVerifier,
+            )),
+            ServeConfig::default(),
+        );
+        let mut iterations = 0;
+        for item in &items {
+            let resp = engine
+                .call(ServeRequest {
+                    item: Arc::clone(item),
+                })
+                .unwrap();
+            assert!(resp.accepted);
+            iterations += resp.iterations as u64;
+        }
+        let snap = engine.shutdown();
+        assert_eq!(snap.sim_candidates, iterations);
+        assert!(iterations < items.len() as u64 * 11 / 10, "{iterations}");
     }
 
     #[test]

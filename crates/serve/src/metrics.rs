@@ -158,6 +158,9 @@ pub struct Metrics {
     /// Data-grounded explanations the served loop built (and memoized when
     /// the result was cached).
     pub explain_cache_misses: AtomicU64,
+    /// Candidates the simulated model drew (the served loop pulls them
+    /// only as it examines them).
+    pub sim_candidates: AtomicU64,
     /// The simulated model's validation runs of drawn wrong candidates.
     pub sim_attempts: AtomicU64,
     /// Validation attempts the simulator rejected and drew again (the
@@ -191,6 +194,7 @@ impl Metrics {
             },
             explain_cache_hits: load(&self.explain_cache_hits),
             explain_cache_misses: load(&self.explain_cache_misses),
+            sim_candidates: load(&self.sim_candidates),
             sim_attempts: load(&self.sim_attempts),
             sim_retries: load(&self.sim_retries),
             verifier_accepts: load(&self.verifier_accepts),
@@ -255,6 +259,8 @@ pub struct MetricsSnapshot {
     /// Explanations built by the served loop (not counted in
     /// `cache_misses`).
     pub explain_cache_misses: u64,
+    /// Candidates the simulated model drew.
+    pub sim_candidates: u64,
     /// The simulated model's validation runs of drawn wrong candidates.
     pub sim_attempts: u64,
     /// Validation attempts the simulator rejected and drew again.
@@ -358,7 +364,7 @@ mod tests {
         let m = Metrics::default();
         let s = m.snapshot(0, 0);
         assert_eq!(s.completed, 0);
-        assert_eq!((s.sim_attempts, s.sim_retries), (0, 0));
+        assert_eq!((s.sim_candidates, s.sim_attempts, s.sim_retries), (0, 0, 0));
         assert_eq!(s.cache_hit_rate, 0.0);
         assert_eq!(s.avg_iterations, 0.0);
         assert_eq!(s.stages.total.p99_ms, 0.0);

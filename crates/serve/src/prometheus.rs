@@ -115,7 +115,7 @@ pub fn render_metrics_sharded(shards: &[(usize, MetricsSnapshot)]) -> String {
 /// per snapshot carrying that snapshot's labels (empty for none).
 fn render_labeled(snapshots: &[(String, &MetricsSnapshot)]) -> String {
     let mut out = String::new();
-    let counters: [Family<u64>; 13] = [
+    let counters: [Family<u64>; 14] = [
         (
             "cyclesql_requests_admitted_total",
             "Requests admitted past backpressure.",
@@ -160,6 +160,11 @@ fn render_labeled(snapshots: &[(String, &MetricsSnapshot)]) -> String {
             "cyclesql_explain_cache_misses_total",
             "Data-grounded explanations built by the served loop.",
             |s| s.explain_cache_misses,
+        ),
+        (
+            "cyclesql_sim_candidates_total",
+            "Candidates the simulated model drew (the loop pulls them only as it examines them).",
+            |s| s.sim_candidates,
         ),
         (
             "cyclesql_sim_attempts_total",
@@ -441,6 +446,7 @@ mod tests {
             "cyclesql_plan_cache_hit_rate",
             "cyclesql_explain_cache_hits_total",
             "cyclesql_explain_cache_misses_total",
+            "cyclesql_sim_candidates_total",
             "cyclesql_sim_attempts_total",
             "cyclesql_sim_retries_total",
             "cyclesql_verifier_accepts_total",
@@ -478,6 +484,8 @@ mod tests {
         m0.stages
             .record(&StageTimings::default(), Duration::from_millis(2));
         m0.queue_wait.record(Duration::from_micros(700));
+        m0.sim_candidates
+            .store(6, std::sync::atomic::Ordering::Relaxed);
         m0.sim_attempts
             .store(4, std::sync::atomic::Ordering::Relaxed);
         m0.sim_retries
@@ -496,6 +504,7 @@ mod tests {
         assert!(text.contains("cyclesql_requests_admitted_total{shard=\"1\"} 9"));
         assert!(text.contains("{shard=\"0\",stage=\"total\",quantile=\"0.99\"}"));
         assert!(text.contains("cyclesql_queue_wait_ms_count{shard=\"0\"} 1"));
+        assert!(text.contains("cyclesql_sim_candidates_total{shard=\"0\"} 6"));
         assert!(text.contains("cyclesql_sim_attempts_total{shard=\"0\"} 4"));
         assert!(text.contains("cyclesql_sim_retries_total{shard=\"0\"} 1"));
         assert_eq!(

@@ -1,7 +1,7 @@
 //! The compile pass: lowers a parsed [`Query`] against a database schema
 //! into a [`CompiledQuery`].
 //!
-//! All name resolution happens here, once — [`Env::resolve`] is only
+//! All name resolution happens here, once — `Env::resolve` is only
 //! reachable from this module, so a successfully compiled query performs
 //! zero name lookups at run time, and resolution errors (unknown tables or
 //! columns, projection arity problems, set-operation arity mismatches)
@@ -9,7 +9,7 @@
 //! interpreter produces at run time.
 //!
 //! Subqueries are compiled recursively into prologue plans
-//! ([`crate::ir::SubPlan`]); the engine executes each exactly once per run.
+//! (`SubPlan`s in [`crate::ir`]); the engine executes each exactly once per run.
 //!
 //! A compiled plan is immutable and `Sync`: runs borrow it read-only, so
 //! one plan serves every database sharing its schema (the TS variants)

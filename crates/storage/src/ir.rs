@@ -1,11 +1,11 @@
-//! The resolved intermediate representation produced by [`crate::compile`].
+//! The resolved intermediate representation produced by [`crate::compile()`].
 //!
 //! A [`CompiledQuery`] carries everything the run loop needs with all
 //! per-row interpretation work hoisted to compile time:
 //!
 //! - every column reference is a pre-bound working-set **slot** index
-//!   ([`CExpr::Slot`]) — no name resolution after compile;
-//! - every uncorrelated subquery is a **prologue step** ([`SubPlan`])
+//!   (`CExpr::Slot`) — no name resolution after compile;
+//! - every uncorrelated subquery is a **prologue step** (`SubPlan`)
 //!   executed exactly once per run: `IN (SELECT …)` becomes a prebuilt
 //!   [`InProbe`] hash probe, `EXISTS`/scalar subqueries become constants;
 //! - table names are **interned** (`tables`), so lineage travels as

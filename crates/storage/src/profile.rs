@@ -6,7 +6,7 @@
 //! one run — rows in/out, probe and comparison counts, hash-index sizes,
 //! prologue subquery timings, and per-operator wall time.
 //!
-//! Collection sits behind [`Prof`], an on/off handle threaded through the
+//! Collection sits behind `Prof`, an on/off handle threaded through the
 //! executor. Disabled, every instrumentation site is one branch on an enum
 //! discriminant — no clocks are read, no strings are built, nothing
 //! allocates — so the untraced hot path keeps its compiled-execution cost.

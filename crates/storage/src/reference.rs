@@ -1,16 +1,16 @@
 //! The reference interpreter: the original tree-walking executor, retained
 //! verbatim as the semantic baseline for the compiled engine.
 //!
-//! It resolves column names per row ([`RefEnv::lookup`] is a linear scan),
+//! It resolves column names per row (`RefEnv::lookup` is a linear scan),
 //! re-executes uncorrelated subqueries per candidate row, and keys
 //! GROUP BY / DISTINCT / set operations on joined `group_key` strings —
-//! exactly the costs the compiled path in [`crate::compile`] removes. The
+//! exactly the costs the compiled path in [`crate::compile()`] removes. The
 //! differential tests run every generated benchmark query through both
 //! paths and assert identical results *and* lineage; `storage_bench`
 //! measures the throughput gap.
 //!
 //! Scalar arithmetic and aggregate folding are shared with the compiled
-//! engine via [`crate::scalar`], so numeric fixes apply to both paths.
+//! engine via the private `scalar` module, so numeric fixes apply to both paths.
 
 use crate::error::ExecError;
 use crate::exec::{ExecOutput, Lineage, SourceRef};

@@ -33,7 +33,7 @@ impl CompiledQuery {
     /// Runs the compiled plan, tracking per-row lineage.
     ///
     /// Execution is vectorized: rows stream through the columnar batch
-    /// kernels in [`crate::batch`], falling back to the row-at-a-time
+    /// kernels of the private `batch` module, falling back to the row-at-a-time
     /// interpreter only if the columnar run hits an evaluation error (so
     /// error messages always come from the row engine and stay
     /// bit-identical to the reference interpreter).
