@@ -8,8 +8,8 @@ use cyclesql_explain::{
 };
 use cyclesql_models::{Candidate, PreparedCandidate};
 use cyclesql_nli::{
-    AlwaysAcceptVerifier, LlmStrawmanVerifier, PrebuiltNliVerifier, TrainedVerifier, Verifier,
-    VerifyInput,
+    AlwaysAcceptVerifier, Hypothesis, LlmStrawmanVerifier, PrebuiltNliVerifier, TrainedVerifier,
+    Verifier, VerifyInput,
 };
 use cyclesql_obs::{Span, SpanCtx};
 use cyclesql_provenance::{track_provenance, Provenance, ProvenanceTable};
@@ -49,13 +49,19 @@ pub enum LoopVerifier {
 impl LoopVerifier {
     /// Display name for reports.
     pub fn name(&self) -> &'static str {
+        self.as_verifier().map_or("oracle", |v| v.name())
+    }
+
+    /// The plugged-in NLI verifier; `None` for the oracle, which judges by
+    /// execution instead.
+    fn as_verifier(&self) -> Option<&dyn Verifier> {
         match self {
-            LoopVerifier::Trained(v) => v.name(),
-            LoopVerifier::LlmStrawman(v) => v.name(),
-            LoopVerifier::Prebuilt(v) => v.name(),
-            LoopVerifier::AlwaysAccept(v) => v.name(),
-            LoopVerifier::Oracle => "oracle",
-            LoopVerifier::Custom(v) => v.name(),
+            LoopVerifier::Trained(v) => Some(v),
+            LoopVerifier::LlmStrawman(v) => Some(v),
+            LoopVerifier::Prebuilt(v) => Some(v),
+            LoopVerifier::AlwaysAccept(v) => Some(v),
+            LoopVerifier::Oracle => None,
+            LoopVerifier::Custom(v) => Some(v.as_ref()),
         }
     }
 }
@@ -261,6 +267,9 @@ impl CycleSql {
         let mut top1_result: Option<Arc<ResultSet>> = None;
         // The candidate under examination, once past the top-1.
         let mut later: Option<C> = None;
+        // The question's NLI features, mined at the first candidate that
+        // reaches an NLI verifier and shared by every later one.
+        let mut hypothesis: Option<Hypothesis> = None;
 
         loop {
             if controls.expired() {
@@ -437,12 +446,10 @@ impl CycleSql {
 
             let mut verify_span = cand_span.as_ref().map(|s| s.child("verify"));
             let t = Instant::now();
-            let verdict_entails = match &self.verifier {
-                LoopVerifier::Oracle => {
-                    // Headroom estimate: entailment iff execution-correct.
-                    gold_result.is_some_and(|g| result.bag_eq(g))
-                }
-                other => {
+            let (verdict_entails, score) = match self.verifier.as_verifier() {
+                // Headroom estimate: entailment iff execution-correct.
+                None => (gold_result.is_some_and(|g| result.bag_eq(g)), None),
+                Some(verifier) => {
                     let premise = premise.expect("premise built for non-oracle verifiers");
                     let input = VerifyInput {
                         question: &item.question,
@@ -450,15 +457,9 @@ impl CycleSql {
                         facets: premise.facets(),
                         sql: &cand.sql,
                     };
-                    let entails = match other {
-                        LoopVerifier::Trained(v) => v.verify(&input).entails,
-                        LoopVerifier::LlmStrawman(v) => v.verify(&input).entails,
-                        LoopVerifier::Prebuilt(v) => v.verify(&input).entails,
-                        LoopVerifier::AlwaysAccept(v) => v.verify(&input).entails,
-                        LoopVerifier::Custom(v) => v.verify(&input).entails,
-                        LoopVerifier::Oracle => unreachable!(),
-                    };
-                    if entails {
+                    let hyp = hypothesis.get_or_insert_with(|| prepare(&item.question));
+                    let verdict = verifier.verify_prepared(hyp, &input);
+                    if verdict.entails {
                         chosen = Some(ChosenCandidate {
                             sql: cand.sql.clone(),
                             ast: Some(Arc::clone(query)),
@@ -470,12 +471,15 @@ impl CycleSql {
                             iterations: iteration,
                         });
                     }
-                    entails
+                    (verdict.entails, Some(verdict.score))
                 }
             };
             stages.verify += t.elapsed();
             if let Some(mut s) = verify_span.take() {
                 s.set("entails", verdict_entails);
+                if let Some(score) = score {
+                    s.set("score", score);
+                }
             }
             if let Some(mut s) = cand_span.take() {
                 s.set("entails", verdict_entails);
@@ -557,6 +561,13 @@ impl Premise {
             Premise::Sql2Nl(s) => &s.facets,
         }
     }
+}
+
+/// Mines the question's NLI features for a run's verifier.
+fn prepare(question: &str) -> Hypothesis {
+    #[cfg(test)]
+    control_tests::HYPOTHESES_BUILT.with(|n| n.set(n.get() + 1));
+    Hypothesis::new(question)
 }
 
 /// Tracks `query`'s provenance for `result`'s first row and generates its
@@ -848,6 +859,11 @@ mod control_tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
+    thread_local! {
+        /// Hypotheses [`prepare`] built on this thread.
+        pub(super) static HYPOTHESES_BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
     fn prepared(sqls: &[&str]) -> Vec<PreparedCandidate> {
         sqls.iter()
             .enumerate()
@@ -1078,6 +1094,70 @@ mod control_tests {
         };
         assert_eq!(names(&cold), names(&warm), "same spans cold and warm");
         assert_eq!(runs.built.load(Ordering::Relaxed), 1);
+    }
+
+    /// Rejects every candidate through `verify_prepared`, recording the
+    /// address of each hypothesis it is handed; `verify` must not be used.
+    struct AddressRecorder(Arc<Mutex<Vec<usize>>>);
+
+    impl Verifier for AddressRecorder {
+        fn verify(&self, _input: &VerifyInput<'_>) -> cyclesql_nli::Verdict {
+            panic!("the loop prepares the question and calls verify_prepared");
+        }
+        fn verify_prepared(
+            &self,
+            hyp: &Hypothesis,
+            _input: &VerifyInput<'_>,
+        ) -> cyclesql_nli::Verdict {
+            self.0
+                .lock()
+                .unwrap()
+                .push(hyp as *const Hypothesis as usize);
+            cyclesql_nli::Verdict {
+                entails: false,
+                score: 0.0,
+            }
+        }
+        fn name(&self) -> &'static str {
+            "address-recorder"
+        }
+    }
+
+    #[test]
+    fn loop_prepares_the_question_once() {
+        let ctx = ExperimentContext::shared_quick();
+        let item = &ctx.spider.dev[0];
+        let db = ctx.spider.database(item);
+        let built = || HYPOTHESES_BUILT.with(|n| n.replace(0));
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        let cycle = CycleSql::new(LoopVerifier::Custom(Box::new(AddressRecorder(Arc::clone(
+            &calls,
+        )))));
+        let gold = item.gold_sql.as_str();
+
+        built();
+        let out = cycle.run_prepared(item, db, prepared(&[gold; 4]), None);
+        assert!(!out.accepted);
+        let calls = std::mem::take(&mut *calls.lock().unwrap());
+        assert_eq!(calls.len(), 4, "one verdict per rejected candidate");
+        assert!(
+            calls.iter().all(|&a| a == calls[0]),
+            "one hypothesis: {calls:?}"
+        );
+        assert_eq!(built(), 1);
+
+        // Nothing reaches the verifier: no candidate parses or runs.
+        let broken = prepared(&["SELECT nope FROM nowhere", "not sql at all"]);
+        let out = cycle.run_prepared(item, db, broken, None);
+        assert_eq!(out.iterations, 2);
+        assert_eq!(built(), 0, "no verdict, no hypothesis");
+
+        // The oracle judges by execution and never mines the question.
+        let gold_result = execute(db, &parse(gold).unwrap()).unwrap();
+        let oracle = CycleSql::new(LoopVerifier::Oracle);
+        let out = oracle.run_prepared(item, db, prepared(&[gold; 4]), Some(&gold_result));
+        assert!(out.accepted);
+        assert_eq!(built(), 0, "the oracle builds no hypothesis");
     }
 }
 

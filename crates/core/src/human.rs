@@ -17,7 +17,7 @@ use crate::metrics::ex_correct;
 use cyclesql_benchgen::BenchmarkItem;
 use cyclesql_explain::generate_explanation;
 use cyclesql_models::Candidate;
-use cyclesql_nli::{TrainedVerifier, Verifier, VerifyInput};
+use cyclesql_nli::{Hypothesis, TrainedVerifier, Verifier, VerifyInput};
 use cyclesql_provenance::track_provenance;
 use cyclesql_sql::parse;
 use cyclesql_storage::{execute, Database};
@@ -85,6 +85,8 @@ impl<H: HumanJudge> InteractiveCycleSql<'_, H> {
         candidates: &[Candidate],
     ) -> InteractiveOutcome {
         let mut escalations = 0usize;
+        // The question's features, mined at the first verdict.
+        let mut hypothesis: Option<Hypothesis> = None;
         for (i, cand) in candidates.iter().enumerate() {
             let Ok(query) = parse(&cand.sql) else {
                 continue;
@@ -103,7 +105,8 @@ impl<H: HumanJudge> InteractiveCycleSql<'_, H> {
                 facets: &explanation.facets,
                 sql: &cand.sql,
             };
-            let verdict = self.verifier.verify(&input);
+            let hyp = hypothesis.get_or_insert_with(|| Hypothesis::new(&item.question));
+            let verdict = self.verifier.verify_prepared(hyp, &input);
             let uncertain =
                 (verdict.score - self.verifier.model.threshold).abs() < self.uncertainty_band;
             let accept = if uncertain {

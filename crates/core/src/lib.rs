@@ -32,6 +32,8 @@
 pub mod cycle;
 pub mod eval;
 pub mod experiments;
+#[cfg(test)]
+mod feature_reference;
 pub mod human;
 pub mod metrics;
 pub mod session;

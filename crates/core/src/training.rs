@@ -19,7 +19,7 @@ use crate::cycle::{premise_from_parts, FeedbackKind};
 use crate::session::EvalSession;
 use cyclesql_benchgen::Split;
 use cyclesql_models::{SimulatedModel, TranslationRequest};
-use cyclesql_nli::{extract_features, NliModel, TrainConfig, TrainedVerifier, TrainingExample};
+use cyclesql_nli::{Hypothesis, NliModel, TrainConfig, TrainedVerifier, TrainingExample};
 
 /// Configuration for training-set collection.
 #[derive(Debug, Clone, Copy)]
@@ -63,12 +63,14 @@ pub fn collect_training_data(
     for (idx, item) in session.suite().train.iter().enumerate() {
         let prep = session.prepared_item(Split::Train, idx);
         let db = session.database(item);
+        // The question's features, mined once for all of the item's premises.
+        let hyp = Hypothesis::new(&item.question);
         // Positive: the gold translation's explanation entails the question.
         if let Some((text, facets)) = prep.gold_ast.as_deref().and_then(|gold| {
             premise_from_parts(db, gold, prep.gold_result.as_deref(), config.feedback)
         }) {
             examples.push(TrainingExample {
-                features: extract_features(&item.question, &text, &facets),
+                features: hyp.features(&text, &facets),
                 entailment: true,
             });
             stats.positives += 1;
@@ -104,7 +106,7 @@ pub fn collect_training_data(
                     premise_from_parts(db, ast, result.as_deref(), config.feedback)
                 {
                     examples.push(TrainingExample {
-                        features: extract_features(&item.question, &text, &facets),
+                        features: hyp.features(&text, &facets),
                         entailment: false,
                     });
                     stats.negatives += 1;
@@ -136,6 +138,7 @@ mod tests {
     use crate::experiments::ExperimentContext;
     use cyclesql_benchgen::{build_spider_suite, SuiteConfig, Variant};
     use cyclesql_models::ModelProfile;
+    use cyclesql_nli::extract_features;
     use cyclesql_storage::execute;
 
     fn small_session() -> EvalSession {

@@ -43,7 +43,9 @@ pub mod mlp;
 pub mod model;
 pub mod verifier;
 
-pub use features::{extract_features, question_intent, QuestionIntent, FEATURE_DIM};
+pub use features::{
+    extract_features, question_entities, question_intent, Hypothesis, QuestionIntent, FEATURE_DIM,
+};
 pub use loss::{sigmoid, FocalLoss};
 pub use mlp::{MlpConfig, MlpNli, MlpVerifier};
 pub use model::{NliModel, TrainConfig, TrainingExample};

@@ -8,7 +8,7 @@
 //! protocol — implemented from scratch with manual backpropagation and a
 //! finite-difference-checked gradient.
 
-use crate::features::FEATURE_DIM;
+use crate::features::{Hypothesis, FEATURE_DIM};
 use crate::loss::{sigmoid, FocalLoss};
 use crate::model::TrainingExample;
 use cyclesql_rng::StdRng;
@@ -194,8 +194,15 @@ pub struct MlpVerifier {
 
 impl crate::verifier::Verifier for MlpVerifier {
     fn verify(&self, input: &crate::verifier::VerifyInput<'_>) -> crate::verifier::Verdict {
-        let features =
-            crate::features::extract_features(input.question, input.premise_text, input.facets);
+        self.verify_prepared(&Hypothesis::new(input.question), input)
+    }
+
+    fn verify_prepared(
+        &self,
+        hyp: &Hypothesis,
+        input: &crate::verifier::VerifyInput<'_>,
+    ) -> crate::verifier::Verdict {
+        let features = hyp.features(input.premise_text, input.facets);
         let score = self.model.score(&features);
         crate::verifier::Verdict {
             entails: score >= self.model.threshold,

@@ -2,7 +2,7 @@
 //! "strawman" verifiers of Table III (a prompted-LLM stand-in and a
 //! pre-built generic NLI model stand-in).
 
-use crate::features::extract_features;
+use crate::features::Hypothesis;
 use crate::model::NliModel;
 use cyclesql_explain::ExplanationFacets;
 
@@ -34,6 +34,15 @@ pub trait Verifier: Send + Sync {
     /// Judges whether the explanation entails the question.
     fn verify(&self, input: &VerifyInput<'_>) -> Verdict;
 
+    /// [`Verifier::verify`] with the question's features already mined:
+    /// `hyp` must be [`Hypothesis::new`] of `input.question`. A loop over
+    /// several candidates of one question builds `hyp` once and passes it
+    /// to each. The default ignores `hyp`; verifiers that read features
+    /// override this and make `verify` prepare a hypothesis and call it.
+    fn verify_prepared(&self, _hyp: &Hypothesis, input: &VerifyInput<'_>) -> Verdict {
+        self.verify(input)
+    }
+
     /// Display name for reports.
     fn name(&self) -> &'static str;
 }
@@ -48,7 +57,11 @@ pub struct TrainedVerifier {
 
 impl Verifier for TrainedVerifier {
     fn verify(&self, input: &VerifyInput<'_>) -> Verdict {
-        let features = extract_features(input.question, input.premise_text, input.facets);
+        self.verify_prepared(&Hypothesis::new(input.question), input)
+    }
+
+    fn verify_prepared(&self, hyp: &Hypothesis, input: &VerifyInput<'_>) -> Verdict {
+        let features = hyp.features(input.premise_text, input.facets);
         let score = self.model.score(&features);
         Verdict {
             entails: score >= self.model.threshold,
@@ -71,7 +84,11 @@ pub struct LlmStrawmanVerifier;
 
 impl Verifier for LlmStrawmanVerifier {
     fn verify(&self, input: &VerifyInput<'_>) -> Verdict {
-        let features = extract_features(input.question, input.premise_text, input.facets);
+        self.verify_prepared(&Hypothesis::new(input.question), input)
+    }
+
+    fn verify_prepared(&self, hyp: &Hypothesis, input: &VerifyInput<'_>) -> Verdict {
+        let features = hyp.features(input.premise_text, input.facets);
         // Shallow read: text overlap (23), count agreement (0), value
         // grounding (10), empty-result sanity (21).
         let score_raw =
@@ -101,7 +118,11 @@ pub struct PrebuiltNliVerifier;
 
 impl Verifier for PrebuiltNliVerifier {
     fn verify(&self, input: &VerifyInput<'_>) -> Verdict {
-        let features = extract_features(input.question, input.premise_text, input.facets);
+        self.verify_prepared(&Hypothesis::new(input.question), input)
+    }
+
+    fn verify_prepared(&self, hyp: &Hypothesis, input: &VerifyInput<'_>) -> Verdict {
+        let features = hyp.features(input.premise_text, input.facets);
         // Only the generic overlap signal, with a strong length penalty
         // (machine-generated premises are long) and a high threshold.
         let words = input.premise_text.split_whitespace().count() as f64;
@@ -232,7 +253,11 @@ pub struct MaskedNliVerifier {
 
 impl Verifier for MaskedNliVerifier {
     fn verify(&self, input: &VerifyInput<'_>) -> Verdict {
-        let mut features = extract_features(input.question, input.premise_text, input.facets);
+        self.verify_prepared(&Hypothesis::new(input.question), input)
+    }
+
+    fn verify_prepared(&self, hyp: &Hypothesis, input: &VerifyInput<'_>) -> Verdict {
+        let mut features = hyp.features(input.premise_text, input.facets);
         for &i in &self.masked {
             if i < features.len() {
                 features[i] = 0.0;
