@@ -31,6 +31,9 @@ pub struct NetMetrics {
     pub drain_rejected: AtomicU64,
     /// Queries diverted from their primary shard to a replica.
     pub spilled: AtomicU64,
+    /// Requests that waited for their connection's previous response to
+    /// be written before being handled (one in flight per connection).
+    pub inflight_waits: AtomicU64,
     /// Wire assembly time per parsed request (first byte → complete).
     pub assemble: Histogram,
 }
@@ -60,6 +63,8 @@ pub struct NetMetricsSnapshot {
     pub drain_rejected: u64,
     /// Queries spilled to a replica shard.
     pub spilled: u64,
+    /// Requests that waited for their connection's previous response.
+    pub inflight_waits: u64,
 }
 
 impl NetMetrics {
@@ -78,6 +83,7 @@ impl NetMetrics {
             queries_unknown_db: load(&self.queries_unknown_db),
             drain_rejected: load(&self.drain_rejected),
             spilled: load(&self.spilled),
+            inflight_waits: load(&self.inflight_waits),
         }
     }
 
@@ -133,6 +139,11 @@ impl NetMetrics {
             "Queries diverted from their primary shard to a replica.",
             s.spilled,
         );
+        counter(
+            "inflight_waits_total",
+            "Requests that waited for their connection's previous response to be written.",
+            s.inflight_waits,
+        );
         let a = self.assemble.snapshot();
         out.push_str(&format!(
             "# HELP cyclesql_net_assemble_ms Wire assembly time per request.\n\
@@ -169,6 +180,7 @@ mod tests {
             "cyclesql_net_queries_unknown_db",
             "cyclesql_net_drain_rejected",
             "cyclesql_net_spilled",
+            "cyclesql_net_inflight_waits_total",
             "cyclesql_net_assemble_ms",
         ] {
             assert_eq!(

@@ -73,22 +73,24 @@ struct ShardState {
     /// Requests this router currently has outstanding against the shard —
     /// submitted and not yet answered, so queued requests count too
     /// (unlike the engine's own in-flight gauge, which only sees requests
-    /// a worker picked up). This is the occupancy signal spill routing
+    /// a worker picked up), and a request counts until its completion has
+    /// delivered the answer. This is the occupancy signal spill routing
     /// reads.
-    outstanding: AtomicUsize,
+    outstanding: Arc<AtomicUsize>,
 }
 
-/// RAII outstanding-count ticket, decremented on every exit path.
-struct Outstanding<'a>(&'a AtomicUsize);
+/// RAII outstanding-count ticket, decremented on every exit path. It
+/// travels with the request's completion, so it may drop on a worker.
+struct Outstanding(Arc<AtomicUsize>);
 
-impl<'a> Outstanding<'a> {
-    fn enter(gauge: &'a AtomicUsize) -> Self {
+impl Outstanding {
+    fn enter(gauge: &Arc<AtomicUsize>) -> Self {
         gauge.fetch_add(1, Ordering::Relaxed);
-        Outstanding(gauge)
+        Outstanding(Arc::clone(gauge))
     }
 }
 
-impl Drop for Outstanding<'_> {
+impl Drop for Outstanding {
     fn drop(&mut self) {
         self.0.fetch_sub(1, Ordering::Relaxed);
     }
@@ -153,7 +155,7 @@ impl ShardedEngine {
                 let slice = Arc::new(catalog.subset(ids.iter().map(String::as_str)));
                 ShardState {
                     engine: RwLock::new(Some(make_engine(s, slice))),
-                    outstanding: AtomicUsize::new(0),
+                    outstanding: Arc::new(AtomicUsize::new(0)),
                 }
             })
             .collect();
@@ -215,34 +217,44 @@ impl ShardedEngine {
         })
     }
 
-    /// Submits `item` to the decided shard and blocks for the response,
-    /// holding the shard's outstanding count for the full round trip so
-    /// concurrent routing sees this request as load.
-    pub fn call_on(
+    /// Submits `item` to the decided shard. `done` receives the outcome
+    /// exactly once, as [`ServiceEngine::submit_with`] delivers it: on the
+    /// serving worker, or on this thread when the shard refuses the
+    /// request (a shut-down shard refuses with [`ServeError::Shutdown`]).
+    /// The shard's outstanding count covers the request until `done`
+    /// returns, so concurrent routing sees it as load until its answer is
+    /// delivered.
+    pub fn submit_on(
         &self,
         decision: RouteDecision,
         item: Arc<BenchmarkItem>,
         parent: Option<SharedSpan>,
-    ) -> Result<ServeResponse, ServeError> {
+        done: impl FnOnce(Result<ServeResponse, ServeError>) + Send + 'static,
+    ) {
         let state = &self.states[decision.shard];
-        let _load = Outstanding::enter(&state.outstanding);
-        let ticket: Ticket = {
-            let guard = state.engine.read().expect("shard engine lock poisoned");
-            match guard.as_ref() {
-                Some(engine) => engine.submit_under(ServeRequest { item }, parent)?,
-                None => return Err(ServeError::Shutdown),
-            }
-            // Read guard drops here: the submit (which may block under
-            // AdmissionPolicy::Block) happens under the lock, but the wait
-            // for the response does not.
+        let load = Outstanding::enter(&state.outstanding);
+        let done = move |result| {
+            done(result);
+            drop(load);
         };
-        ticket.wait()
+        let guard = state.engine.read().expect("shard engine lock poisoned");
+        if let Some(engine) = guard.as_ref() {
+            // The submit (which may block under AdmissionPolicy::Block)
+            // happens under the read lock; the wait for the answer does not.
+            engine.submit_with(ServeRequest { item }, parent, done);
+            return;
+        }
+        drop(guard);
+        done(Err(ServeError::Shutdown));
     }
 
-    /// Routes and calls in one step (tests and simple clients).
+    /// Routes, submits and blocks for the response (tests and simple
+    /// clients).
     pub fn call(&self, item: Arc<BenchmarkItem>) -> Result<ServeResponse, ServeError> {
         let decision = self.route(&item.db_name)?;
-        self.call_on(decision, item, None)
+        let (ticket, done) = Ticket::pending();
+        self.submit_on(decision, item, None, done);
+        ticket.wait()
     }
 
     /// Point-in-time metrics per shard.

@@ -10,23 +10,30 @@
 //! [`NetServer::drain`] stops the acceptor, waits for in-flight
 //! connections up to a grace period, then shuts every shard down —
 //! which drains each engine's admitted queue before its workers exit.
+//!
+//! A query is admitted on its connection thread (read, parse, decode,
+//! route, submit) and completed on the serve worker that ran it, which
+//! encodes and writes the response itself. The connection thread goes
+//! straight back to reading; it hands the next request to a worker, or
+//! writes any answer of its own, only once the previous response is
+//! written, so HTTP/1.1 answers leave in request order.
 
 use crate::api::{encode_error, encode_response, ApiQuery};
 use crate::debug::{
     flame_for_trace, query_param, render_requests_json, render_slow_json, render_telemetry_json,
 };
-use crate::http::{HttpLimits, Request, RequestParser, Response};
+use crate::http::{HttpError, HttpLimits, Request, RequestParser, Response};
 use crate::metrics::{NetMetrics, NetMetricsSnapshot};
-use crate::router::{RouterConfig, ShardedEngine};
+use crate::router::{RouteDecision, RouterConfig, ShardedEngine};
 use cyclesql_obs::{
     format_trace_id, parse_trace_id, parse_traceparent, MemorySink, SharedSpan, Tracer,
 };
 use cyclesql_serve::{
     render_metrics_sharded, render_windows_sharded, Catalog, MetricsSnapshot, ServeError,
-    ServiceEngine,
+    ServeResponse, ServiceEngine,
 };
 use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -87,7 +94,8 @@ struct NetShared {
     drain_cv: Condvar,
     active: Mutex<usize>,
     active_cv: Condvar,
-    metrics: NetMetrics,
+    /// Shared with the completions that serve workers run.
+    metrics: Arc<NetMetrics>,
 }
 
 impl NetShared {
@@ -162,7 +170,7 @@ impl NetServer {
             drain_cv: Condvar::new(),
             active: Mutex::new(0),
             active_cv: Condvar::new(),
-            metrics: NetMetrics::default(),
+            metrics: Arc::new(NetMetrics::default()),
         });
         let acceptor = {
             let shared = Arc::clone(&shared);
@@ -327,9 +335,90 @@ impl Drop for ActiveConn<'_> {
     }
 }
 
-fn handle_conn(shared: &NetShared, mut stream: TcpStream, remote: SocketAddr) {
+/// One client connection, shared by its thread and the serve worker that
+/// owes it a response. The thread reads, parses and writes its own
+/// answers; a query's answer is written by the worker that ran it. The
+/// turn allows one response in flight: until it is written, the thread
+/// writes nothing and submits nothing, so answers leave in request order.
+struct Conn {
+    stream: TcpStream,
+    turn: Mutex<Turn>,
+    turn_free: Condvar,
+}
+
+#[derive(Default)]
+struct Turn {
+    /// A worker owes this connection a response.
+    in_flight: bool,
+    /// The connection thread is parked until that response is written.
+    waiting: bool,
+    /// The written response closed the connection (it said so, or the
+    /// write failed).
+    closed: bool,
+}
+
+impl Conn {
+    fn turn(&self) -> std::sync::MutexGuard<'_, Turn> {
+        self.turn.lock().expect("connection turn poisoned")
+    }
+
+    fn in_flight(&self) -> bool {
+        self.turn().in_flight
+    }
+
+    /// Parks until no response is in flight. Returns whether it had to
+    /// wait, or `None` once a written response closed the connection.
+    fn settle(&self) -> Option<bool> {
+        let mut turn = self.turn();
+        let waited = turn.in_flight;
+        while turn.in_flight {
+            turn.waiting = true;
+            turn = self.turn_free.wait(turn).expect("connection turn poisoned");
+        }
+        turn.waiting = false;
+        (!turn.closed).then_some(waited)
+    }
+
+    /// Marks a response in flight; call before handing the request off.
+    fn hand_off(&self) {
+        self.turn().in_flight = true;
+    }
+
+    /// Writes the in-flight response and gives the turn back. A closing
+    /// response, or a failed write, shuts the socket down, which also ends
+    /// the connection thread's read.
+    fn complete(&self, resp: &Response) {
+        let mut turn = self.turn();
+        let close = resp.write_to(&mut &self.stream).is_err() || resp.close;
+        if close {
+            let _ = self.stream.shutdown(Shutdown::Both);
+        }
+        turn.in_flight = false;
+        turn.closed |= close;
+        if turn.waiting {
+            self.turn_free.notify_one();
+        }
+    }
+}
+
+fn handle_conn(shared: &NetShared, stream: TcpStream, remote: SocketAddr) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(READ_TICK));
+    // A client that stops reading holds a serve worker in its write for
+    // at most this long.
+    let _ = stream.set_write_timeout(Some(shared.idle_timeout));
+    let conn = Arc::new(Conn {
+        stream,
+        turn: Mutex::default(),
+        turn_free: Condvar::new(),
+    });
+    serve_conn(shared, &conn, remote);
+    // Every exit waits for the response still in flight, so the drain's
+    // active-connection count covers it.
+    conn.settle();
+}
+
+fn serve_conn(shared: &NetShared, conn: &Arc<Conn>, remote: SocketAddr) {
     let mut parser = RequestParser::new(shared.limits);
     let mut tmp = [0u8; 4096];
     loop {
@@ -340,20 +429,20 @@ fn handle_conn(shared: &NetShared, mut stream: TcpStream, remote: SocketAddr) {
             match parser.advance() {
                 Ok(Some(req)) => break req,
                 Ok(None) => {}
-                Err(e) => return reject_parse(shared, &mut stream, &e),
+                Err(e) => return reject_parse(shared, conn, &e),
             }
             if shared.is_draining() && parser.is_idle() {
                 // Idle keep-alive connection during drain: just close.
                 return;
             }
-            match stream.read(&mut tmp) {
+            match (&conn.stream).read(&mut tmp) {
                 Ok(0) => return,
                 Ok(n) => {
                     waited = Duration::ZERO;
                     match parser.push(&tmp[..n]) {
                         Ok(Some(req)) => break req,
                         Ok(None) => {}
-                        Err(e) => return reject_parse(shared, &mut stream, &e),
+                        Err(e) => return reject_parse(shared, conn, &e),
                     }
                 }
                 Err(e)
@@ -362,7 +451,13 @@ fn handle_conn(shared: &NetShared, mut stream: TcpStream, remote: SocketAddr) {
                         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                     ) =>
                 {
-                    waited += READ_TICK;
+                    // A connection with a response in flight is not idle:
+                    // its clock starts when that response is written.
+                    waited = if conn.in_flight() {
+                        Duration::ZERO
+                    } else {
+                        waited + READ_TICK
+                    };
                     if waited >= shared.idle_timeout {
                         if parser.is_idle() {
                             return;
@@ -374,7 +469,7 @@ fn handle_conn(shared: &NetShared, mut stream: TcpStream, remote: SocketAddr) {
                             encode_error("timeout", "request did not complete in time"),
                         )
                         .closing()
-                        .write_to(&mut stream);
+                        .write_to(&mut &conn.stream);
                         return;
                     }
                 }
@@ -386,6 +481,18 @@ fn handle_conn(shared: &NetShared, mut stream: TcpStream, remote: SocketAddr) {
             .metrics
             .assemble
             .record(Duration::from_micros(req.assemble_us));
+        // One request in flight per connection: this one waits for the
+        // previous response to be written.
+        match conn.settle() {
+            None => return,
+            Some(true) => {
+                shared
+                    .metrics
+                    .inflight_waits
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            Some(false) => {}
+        }
         if shared.is_draining() && !drain_exempt(&req) {
             // A request that arrived (or was pipelined) after drain began:
             // refuse it; the client should retry against another instance.
@@ -397,25 +504,33 @@ fn handle_conn(shared: &NetShared, mut stream: TcpStream, remote: SocketAddr) {
                 .fetch_add(1, Ordering::Relaxed);
             let mut resp = Response::json(503, encode_error("draining", "server is draining"));
             resp.retry_after = Some(1);
-            let _ = resp.closing().write_to(&mut stream);
+            let _ = resp.closing().write_to(&mut &conn.stream);
             return;
         }
         let keep_alive = req.keep_alive;
-        let mut resp = dispatch(shared, &req, remote);
-        if !keep_alive {
-            resp.close = true;
-        }
-        if resp.write_to(&mut stream).is_err() || resp.close {
-            return;
+        match dispatch(shared, conn, &req, remote) {
+            Some(mut resp) => {
+                if !keep_alive {
+                    resp.close = true;
+                }
+                if resp.write_to(&mut &conn.stream).is_err() || resp.close {
+                    return;
+                }
+            }
+            // The answer is in flight; a worker writes it.
+            None if !keep_alive => return,
+            None => {}
         }
     }
 }
 
-fn reject_parse(shared: &NetShared, stream: &mut TcpStream, e: &crate::http::HttpError) {
+fn reject_parse(shared: &NetShared, conn: &Conn, e: &HttpError) {
     shared.metrics.parse_errors.fetch_add(1, Ordering::Relaxed);
-    let _ = Response::json(e.status(), encode_error("http", e.detail()))
-        .closing()
-        .write_to(stream);
+    if conn.settle().is_some() {
+        let _ = Response::json(e.status(), encode_error("http", e.detail()))
+            .closing()
+            .write_to(&mut &conn.stream);
+    }
 }
 
 /// Strips the query string off a request target.
@@ -435,12 +550,19 @@ fn drain_exempt(req: &Request) -> bool {
     path == "/v1/health" || path == "/metrics" || path.starts_with("/v1/debug/")
 }
 
-fn dispatch(shared: &NetShared, req: &Request, remote: SocketAddr) -> Response {
+/// Answers a request on the connection thread, or returns `None` when a
+/// query went to a worker, which writes its answer.
+fn dispatch(
+    shared: &NetShared,
+    conn: &Arc<Conn>,
+    req: &Request,
+    remote: SocketAddr,
+) -> Option<Response> {
     let path = path_only(&req.path);
-    match (req.method.as_str(), path) {
+    Some(match (req.method.as_str(), path) {
         ("GET", "/v1/health") => Response::json(200, health_body(shared)),
         ("GET", "/metrics") => Response::text(200, metrics_page(shared)),
-        ("POST", "/v1/query") => query(shared, req, remote),
+        ("POST", "/v1/query") => return query(shared, conn, req, remote),
         ("GET", "/v1/debug/requests") => debug_requests(shared, req),
         ("GET", "/v1/debug/slow") => debug_slow(shared, req),
         ("GET", "/v1/debug/flame") => debug_flame(shared, req),
@@ -466,7 +588,7 @@ fn dispatch(shared: &NetShared, req: &Request, remote: SocketAddr) -> Response {
             encode_error("method_not_allowed", "wrong method for this path"),
         ),
         _ => Response::json(404, encode_error("not_found", "unknown path")),
-    }
+    })
 }
 
 /// `GET /v1/debug/requests[?limit=N]`: the per-shard rings of recent
@@ -544,7 +666,15 @@ fn metrics_page(shared: &NetShared) -> String {
     page
 }
 
-fn query(shared: &NetShared, req: &Request, remote: SocketAddr) -> Response {
+/// Admits a query on the connection thread: decode, route, and hand it to
+/// a shard, whose worker completes it ([`answer`], then the write). A
+/// query that fails before the hand-off is answered here.
+fn query(
+    shared: &NetShared,
+    conn: &Arc<Conn>,
+    req: &Request,
+    remote: SocketAddr,
+) -> Option<Response> {
     // The `net` root span covers wire handling; the engine opens its
     // `serve` span as a child, so one trace follows the request across
     // both tiers and threads. An inbound trace context (our own
@@ -571,28 +701,15 @@ fn query(shared: &NetShared, req: &Request, remote: SocketAddr) -> Response {
         s.set("assemble_us", req.assemble_us);
         SharedSpan::new(s)
     });
-    // Echo the trace id on every query response so the caller can fetch
-    // `/v1/debug/flame?trace_id=<this>` afterwards.
-    let trace_header = move |resp: Response| match trace_id {
-        Some(id) => resp.with_header("x-cyclesql-trace-id", format_trace_id(id)),
-        None => resp,
-    };
-    let finish = |span: Option<SharedSpan>, status: u16, outcome: &'static str| {
-        if let Some(s) = span {
-            s.set("status", u64::from(status));
-            s.set("outcome", outcome);
-            if status >= 400 {
-                s.set_error();
-            }
-            s.finish();
-        }
-    };
 
     let q = match ApiQuery::parse(&req.body) {
         Ok(q) => q,
         Err(msg) => {
             finish(span, 400, "bad_request");
-            return trace_header(Response::json(400, encode_error("bad_request", &msg)));
+            return Some(with_trace_id(
+                Response::json(400, encode_error("bad_request", &msg)),
+                trace_id,
+            ));
         }
     };
     let decision = match shared.sharded.route(&q.db) {
@@ -603,9 +720,12 @@ fn query(shared: &NetShared, req: &Request, remote: SocketAddr) -> Response {
                 .queries_unknown_db
                 .fetch_add(1, Ordering::Relaxed);
             finish(span, 404, "unknown_db");
-            return trace_header(Response::json(
-                404,
-                encode_error("unknown_database", "no such database in the catalog"),
+            return Some(with_trace_id(
+                Response::json(
+                    404,
+                    encode_error("unknown_database", "no such database in the catalog"),
+                ),
+                trace_id,
             ));
         }
     };
@@ -616,70 +736,109 @@ fn query(shared: &NetShared, req: &Request, remote: SocketAddr) -> Response {
     if decision.spilled {
         shared.metrics.spilled.fetch_add(1, Ordering::Relaxed);
     }
-    let shard_header = |resp: Response| {
-        trace_header(
-            resp.with_header("x-cyclesql-shard", decision.shard.to_string())
-                .with_header("x-cyclesql-spilled", decision.spilled.to_string()),
-        )
-    };
-    match shared
+    let keep_alive = req.keep_alive;
+    let (wire, metrics, parent) = (Arc::clone(conn), Arc::clone(&shared.metrics), span.clone());
+    conn.hand_off();
+    shared
         .sharded
-        .call_on(decision, q.into_item(), span.clone())
-    {
-        Ok(resp) => {
-            shared.metrics.queries_ok.fetch_add(1, Ordering::Relaxed);
-            if let Some(s) = &span {
-                s.set("queue_wait_us", resp.queue_wait.as_micros() as u64);
+        .submit_on(decision, q.into_item(), parent, move |result| {
+            let mut resp = answer(&metrics, result, span, decision, trace_id);
+            if !keep_alive {
+                resp.close = true;
             }
-            finish(span, 200, "ok");
-            shard_header(Response::json(200, encode_response(&resp))).with_header(
-                "x-cyclesql-queue-wait-us",
-                resp.queue_wait.as_micros().to_string(),
-            )
+            wire.complete(&resp);
+        });
+    None
+}
+
+/// Records a query's wire outcome on its `net` span and finishes it.
+fn finish(span: Option<SharedSpan>, status: u16, outcome: &'static str) {
+    if let Some(s) = span {
+        s.set("status", u64::from(status));
+        s.set("outcome", outcome);
+        if status >= 400 {
+            s.set_error();
+        }
+        s.finish();
+    }
+}
+
+/// Echoes the trace id on every query response, so the caller can fetch
+/// `/v1/debug/flame?trace_id=<this>` afterwards.
+fn with_trace_id(resp: Response, trace_id: Option<u64>) -> Response {
+    match trace_id {
+        Some(id) => resp.with_header("x-cyclesql-trace-id", format_trace_id(id)),
+        None => resp,
+    }
+}
+
+/// A routed query's response, built by whichever thread completes it:
+/// the serve worker, or the connection thread when the shard refused it.
+fn answer(
+    metrics: &NetMetrics,
+    result: Result<ServeResponse, ServeError>,
+    span: Option<SharedSpan>,
+    decision: RouteDecision,
+    trace_id: Option<u64>,
+) -> Response {
+    let mut queue_wait_us = None;
+    let (status, outcome, resp) = match result {
+        Ok(resp) => {
+            metrics.queries_ok.fetch_add(1, Ordering::Relaxed);
+            let wait_us = resp.queue_wait.as_micros() as u64;
+            if let Some(s) = &span {
+                s.set("queue_wait_us", wait_us);
+            }
+            queue_wait_us = Some(wait_us);
+            (200, "ok", Response::json(200, encode_response(&resp)))
         }
         Err(ServeError::Overloaded) => {
-            shared.metrics.queries_shed.fetch_add(1, Ordering::Relaxed);
-            finish(span, 503, "shed");
+            metrics.queries_shed.fetch_add(1, Ordering::Relaxed);
             let mut resp = Response::json(
                 503,
                 encode_error("overloaded", "admission queue full, request shed"),
             );
             resp.retry_after = Some(1);
-            shard_header(resp)
+            (503, "shed", resp)
         }
         Err(ServeError::DeadlineExceeded) => {
-            shared
-                .metrics
-                .queries_deadline
-                .fetch_add(1, Ordering::Relaxed);
-            finish(span, 504, "deadline");
-            shard_header(Response::json(
+            metrics.queries_deadline.fetch_add(1, Ordering::Relaxed);
+            let resp = Response::json(
                 504,
                 encode_error("deadline_exceeded", "request exceeded its deadline"),
-            ))
+            );
+            (504, "deadline", resp)
         }
         Err(ServeError::UnknownDatabase(_)) => {
-            shared
-                .metrics
-                .queries_unknown_db
-                .fetch_add(1, Ordering::Relaxed);
-            finish(span, 404, "unknown_db");
-            shard_header(Response::json(
+            metrics.queries_unknown_db.fetch_add(1, Ordering::Relaxed);
+            let resp = Response::json(
                 404,
                 encode_error("unknown_database", "no such database in the catalog"),
-            ))
+            );
+            (404, "unknown_db", resp)
         }
         Err(ServeError::Shutdown) => {
-            shared
-                .metrics
-                .drain_rejected
-                .fetch_add(1, Ordering::Relaxed);
-            finish(span, 503, "shutdown");
-            shard_header(Response::json(
-                503,
-                encode_error("draining", "server is draining"),
-            ))
-            .closing()
+            metrics.drain_rejected.fetch_add(1, Ordering::Relaxed);
+            let resp =
+                Response::json(503, encode_error("draining", "server is draining")).closing();
+            (503, "shutdown", resp)
         }
+        Err(ServeError::Internal) => {
+            let resp = Response::json(
+                500,
+                encode_error("internal", "the request failed inside the server"),
+            );
+            (500, "internal", resp)
+        }
+    };
+    finish(span, status, outcome);
+    let resp = with_trace_id(
+        resp.with_header("x-cyclesql-shard", decision.shard.to_string())
+            .with_header("x-cyclesql-spilled", decision.spilled.to_string()),
+        trace_id,
+    );
+    match queue_wait_us {
+        Some(us) => resp.with_header("x-cyclesql-queue-wait-us", us.to_string()),
+        None => resp,
     }
 }

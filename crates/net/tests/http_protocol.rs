@@ -1,6 +1,7 @@
 //! Wire-level protocol tests against a live server on loopback:
-//! malformed framing, limits, split reads, keep-alive, timeouts, and the
-//! drain protocol as a client observes it.
+//! malformed framing, limits, split reads, keep-alive, timeouts, the
+//! drain protocol as a client observes it, and the worker-written answer:
+//! order, connection lifetime, panics and the gauges that follow it.
 
 use cyclesql_benchgen::{build_spider_suite, BenchmarkSuite, SuiteConfig, Variant};
 use cyclesql_core::{CycleSql, LoopVerifier};
@@ -10,6 +11,8 @@ use cyclesql_nli::{Verdict, Verifier, VerifyInput};
 use cyclesql_serve::{Catalog, ServeConfig, ServiceEngine};
 use std::io::Read;
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 fn suite() -> BenchmarkSuite {
@@ -278,7 +281,6 @@ fn pipelined_request_after_drain_begins_is_rejected_while_first_completes() {
 fn malformed_traceparent_is_ignored_never_rejected() {
     use cyclesql_net::NetObs;
     use cyclesql_obs::{MemorySink, ObsCounters, SpanSink, Tracer};
-    use std::sync::Arc;
 
     let suite = suite();
     let catalog = Catalog::from_suites([&suite]);
@@ -354,4 +356,330 @@ fn malformed_traceparent_is_ignored_never_rejected() {
     );
     drop(client);
     server.drain(Duration::from_secs(10));
+}
+
+/// Starts a one-shard, one-worker server whose loop runs `verifier`.
+fn start_with_verifier(
+    config: NetConfig,
+    suite: &BenchmarkSuite,
+    verifier: impl Fn() -> Box<dyn Verifier>,
+) -> NetServer {
+    let catalog = Catalog::from_suites([suite]);
+    NetServer::start(
+        "127.0.0.1:0",
+        config,
+        &catalog,
+        |_, slice| {
+            ServiceEngine::start(
+                slice,
+                SimulatedModel::new(ModelProfile::resdsql_3b()),
+                CycleSql::new(LoopVerifier::Custom(verifier())),
+                ServeConfig {
+                    workers: 1,
+                    ..ServeConfig::default()
+                },
+            )
+        },
+        None,
+    )
+    .expect("bind loopback")
+}
+
+fn query_wire(item: &cyclesql_benchgen::BenchmarkItem, extra_headers: &str) -> String {
+    let body = encode_query(item);
+    format!(
+        "POST /v1/query HTTP/1.1\r\nhost: t\r\n{extra_headers}content-length: {}\r\n\r\n{body}",
+        body.len()
+    )
+}
+
+/// Polls `cond` for up to two seconds.
+fn eventually(cond: impl Fn() -> bool) -> bool {
+    let until = std::time::Instant::now() + Duration::from_secs(2);
+    while !cond() {
+        if std::time::Instant::now() >= until {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    true
+}
+
+/// A verifier that holds every request until the test opens the gate.
+#[derive(Default)]
+struct Gate {
+    open: Mutex<bool>,
+    opened: Condvar,
+    entered: AtomicUsize,
+}
+
+impl Gate {
+    fn open(&self) {
+        if let Ok(mut open) = self.open.lock() {
+            *open = true;
+        }
+        self.opened.notify_all();
+    }
+}
+
+/// Opens the gate when dropped, so a failed assertion cannot leave the
+/// worker held and the server's shutdown waiting for it.
+struct OpenOnDrop(Arc<Gate>);
+
+impl Drop for OpenOnDrop {
+    fn drop(&mut self) {
+        self.0.open();
+    }
+}
+
+struct GatedVerifier(Arc<Gate>);
+
+impl Verifier for GatedVerifier {
+    fn verify(&self, _input: &VerifyInput<'_>) -> Verdict {
+        self.0.entered.fetch_add(1, Ordering::SeqCst);
+        let mut open = self.0.open.lock().unwrap();
+        while !*open {
+            open = self.0.opened.wait(open).unwrap();
+        }
+        Verdict {
+            entails: true,
+            score: 1.0,
+        }
+    }
+    fn name(&self) -> &'static str {
+        "gated"
+    }
+}
+
+#[test]
+fn pipelined_queries_come_back_in_order_identical_to_single_answers() {
+    let suite = suite();
+    let server = start_server(NetConfig::default(), &suite);
+    let items: Vec<_> = suite.dev.iter().take(4).collect();
+    let alone: Vec<Vec<u8>> = items
+        .iter()
+        .map(|item| {
+            let mut client = HttpClient::connect(server.local_addr()).unwrap();
+            client.send_raw(query_wire(item, "").as_bytes()).unwrap();
+            let resp = client.read_response().unwrap();
+            assert_eq!(resp.status, 200, "{}", item.id);
+            resp.body
+        })
+        .collect();
+    let wire: String = items.iter().map(|item| query_wire(item, "")).collect();
+    let mut client = HttpClient::connect(server.local_addr()).unwrap();
+    client.send_raw(wire.as_bytes()).unwrap();
+    for (item, expected) in items.iter().zip(&alone) {
+        let resp = client.read_response().unwrap();
+        assert_eq!(resp.status, 200, "{}", item.id);
+        assert_eq!(
+            &resp.body, expected,
+            "{}: pipelined answer differs",
+            item.id
+        );
+    }
+    assert_eq!(server.net_metrics().queries_ok, 8);
+}
+
+#[test]
+fn connection_close_query_gets_its_full_response_then_eof() {
+    let suite = suite();
+    let server = start_server(NetConfig::default(), &suite);
+    let mut client = HttpClient::connect(server.local_addr()).unwrap();
+    client
+        .send_raw(query_wire(&suite.dev[0], "connection: close\r\n").as_bytes())
+        .unwrap();
+    let resp = client.read_response().unwrap();
+    assert_eq!(resp.status, 200);
+    assert!(resp.closes(), "the answer announces the close");
+    assert!(resp.body_str().contains("\"explanation\""));
+    let eof = client.read_response().unwrap_err();
+    assert_eq!(eof.kind(), std::io::ErrorKind::UnexpectedEof);
+}
+
+#[test]
+fn a_query_slower_than_the_idle_timeout_is_still_answered() {
+    let suite = suite();
+    let server = start_with_verifier(
+        NetConfig {
+            idle_timeout: Duration::from_millis(100),
+            ..NetConfig::default()
+        },
+        &suite,
+        || Box::new(SlowVerifier(Duration::from_millis(300))),
+    );
+    let mut client = HttpClient::connect(server.local_addr()).unwrap();
+    let body = encode_query(&suite.dev[0]);
+    for i in 0..2 {
+        // The connection stays open across the slow answer, so the second
+        // query travels on it too.
+        let resp = client.request("POST", "/v1/query", Some(&body)).unwrap();
+        assert_eq!(resp.status, 200, "query {i} outlived the idle clock");
+        assert!(!resp.closes());
+    }
+    assert_eq!(server.net_metrics().connections_accepted, 1);
+}
+
+/// Records the name of every thread that runs the pipeline.
+struct ThreadRecorder(Arc<Mutex<Vec<String>>>);
+
+impl Verifier for ThreadRecorder {
+    fn verify(&self, _input: &VerifyInput<'_>) -> Verdict {
+        let name = std::thread::current().name().unwrap_or("").to_string();
+        self.0.lock().unwrap().push(name);
+        Verdict {
+            entails: true,
+            score: 1.0,
+        }
+    }
+    fn name(&self) -> &'static str {
+        "thread-recorder"
+    }
+}
+
+#[test]
+fn the_pipeline_runs_only_on_serve_workers() {
+    let suite = suite();
+    let names = Arc::new(Mutex::new(Vec::new()));
+    let server = start_with_verifier(NetConfig::default(), &suite, || {
+        Box::new(ThreadRecorder(Arc::clone(&names)))
+    });
+    let mut client = HttpClient::connect(server.local_addr()).unwrap();
+    for item in suite.dev.iter().take(3) {
+        let body = encode_query(item);
+        assert_eq!(
+            client
+                .request("POST", "/v1/query", Some(&body))
+                .unwrap()
+                .status,
+            200
+        );
+    }
+    let wire: String = suite
+        .dev
+        .iter()
+        .take(3)
+        .map(|i| query_wire(i, ""))
+        .collect();
+    client.send_raw(wire.as_bytes()).unwrap();
+    for _ in 0..3 {
+        assert_eq!(client.read_response().unwrap().status, 200);
+    }
+    let names = names.lock().unwrap();
+    assert!(names.len() >= 6, "{names:?}");
+    assert!(
+        names.iter().all(|n| n.starts_with("serve-worker-")),
+        "pipeline ran off the worker pool: {names:?}"
+    );
+}
+
+/// Panics while verifying one question; accepts every other.
+struct PanicOn(String);
+
+impl Verifier for PanicOn {
+    fn verify(&self, input: &VerifyInput<'_>) -> Verdict {
+        assert_ne!(input.question, self.0, "verifier bug on this question");
+        Verdict {
+            entails: true,
+            score: 1.0,
+        }
+    }
+    fn name(&self) -> &'static str {
+        "panic-on"
+    }
+}
+
+#[test]
+fn a_panicking_query_gets_500_and_the_connection_serves_on() {
+    let suite = suite();
+    let target = suite.dev[0].clone();
+    let other = suite
+        .dev
+        .iter()
+        .find(|i| i.question != target.question)
+        .unwrap();
+    let question = target.question.clone();
+    let server = start_with_verifier(NetConfig::default(), &suite, || {
+        Box::new(PanicOn(question.clone()))
+    });
+    let mut client = HttpClient::connect(server.local_addr()).unwrap();
+    let failed = client
+        .request("POST", "/v1/query", Some(&encode_query(&target)))
+        .unwrap();
+    assert_eq!(failed.status, 500);
+    assert!(
+        failed.body_str().contains("\"internal\""),
+        "{}",
+        failed.body_str()
+    );
+    assert!(!failed.closes(), "a panic does not cost the connection");
+    let next = client
+        .request("POST", "/v1/query", Some(&encode_query(other)))
+        .unwrap();
+    assert_eq!(next.status, 200, "the same connection answers on");
+    let metrics = client.request("GET", "/metrics", None).unwrap();
+    assert!(
+        metrics
+            .body_str()
+            .contains("cyclesql_serve_panics_total{shard=\"0\"} 1\n"),
+        "{}",
+        metrics.body_str()
+    );
+    let report = server.drain(Duration::from_secs(10));
+    assert_eq!(report.shard_metrics[0].1.panics, 1);
+    assert_eq!(report.shard_metrics[0].1.completed, 2);
+}
+
+#[test]
+fn the_router_gauge_counts_a_wire_request_until_it_is_answered() {
+    let suite = suite();
+    let gate = Arc::new(Gate::default());
+    let server = start_with_verifier(NetConfig::default(), &suite, || {
+        Box::new(GatedVerifier(Arc::clone(&gate)))
+    });
+    let _open = OpenOnDrop(Arc::clone(&gate));
+    let mut client = HttpClient::connect(server.local_addr()).unwrap();
+    client
+        .send_request("POST", "/v1/query", Some(&encode_query(&suite.dev[0])))
+        .unwrap();
+    assert!(eventually(|| gate.entered.load(Ordering::SeqCst) == 1));
+    assert_eq!(server.sharded().outstanding(0), 1, "held request counts");
+    gate.open();
+    assert_eq!(client.read_response().unwrap().status, 200);
+    assert!(
+        eventually(|| server.sharded().outstanding(0) == 0),
+        "answered request released the gauge"
+    );
+}
+
+#[test]
+fn a_pipelined_request_waits_for_the_previous_response_exactly_once() {
+    let suite = suite();
+    let gate = Arc::new(Gate::default());
+    let server = start_with_verifier(NetConfig::default(), &suite, || {
+        Box::new(GatedVerifier(Arc::clone(&gate)))
+    });
+    let _open = OpenOnDrop(Arc::clone(&gate));
+    let mut client = HttpClient::connect(server.local_addr()).unwrap();
+    let wire = query_wire(&suite.dev[0], "") + &query_wire(&suite.dev[1], "");
+    client.send_raw(wire.as_bytes()).unwrap();
+    // The first request is held in the verifier; the second is parsed and
+    // must wait for the first answer before it is handed off.
+    assert!(eventually(
+        || gate.entered.load(Ordering::SeqCst) == 1 && server.net_metrics().requests == 2
+    ));
+    assert_eq!(
+        server.sharded().outstanding(0),
+        1,
+        "second not yet submitted"
+    );
+    gate.open();
+    for _ in 0..2 {
+        assert_eq!(client.read_response().unwrap().status, 200);
+    }
+    assert_eq!(server.net_metrics().inflight_waits, 1);
+    let page = client.request("GET", "/metrics", None).unwrap();
+    assert!(page
+        .body_str()
+        .contains("cyclesql_net_inflight_waits_total 1\n"));
 }

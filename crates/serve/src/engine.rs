@@ -9,6 +9,13 @@
 //! latency). Per-request deadlines abandon the candidate loop cleanly
 //! between pipeline stages. [`ServiceEngine::shutdown`] drains every
 //! admitted request before the workers exit.
+//!
+//! Every request completes through one path: the closure handed to
+//! [`ServiceEngine::submit_with`] receives its outcome exactly once, on the
+//! worker that served it or, for a refusal, on the submitting thread.
+//! [`Ticket`]s are that closure filling a slot the caller waits on. A
+//! panic in the pipeline completes its request with
+//! [`ServeError::Internal`]; the worker survives.
 
 use crate::catalog::Catalog;
 use crate::metrics::{Metrics, MetricsSnapshot};
@@ -24,6 +31,7 @@ use cyclesql_obs::{
 use cyclesql_sql::{parse, to_sql, Query};
 use cyclesql_storage::{Database, ExecOpts, ResultSet};
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
@@ -135,6 +143,9 @@ pub enum ServeError {
     UnknownDatabase(String),
     /// The engine shut down before the request could be admitted.
     Shutdown,
+    /// The pipeline panicked while serving the request. The worker
+    /// survived; only this request failed.
+    Internal,
 }
 
 impl fmt::Display for ServeError {
@@ -144,13 +155,14 @@ impl fmt::Display for ServeError {
             ServeError::DeadlineExceeded => write!(f, "deadline exceeded"),
             ServeError::UnknownDatabase(id) => write!(f, "unknown database `{id}`"),
             ServeError::Shutdown => write!(f, "engine shut down"),
+            ServeError::Internal => write!(f, "request failed inside the engine"),
         }
     }
 }
 
 impl std::error::Error for ServeError {}
 
-/// One-shot response slot shared between submitter and worker.
+/// One-shot response slot shared between a [`Ticket`] and its completion.
 #[derive(Default)]
 struct Slot {
     result: Mutex<Option<Result<ServeResponse, ServeError>>>,
@@ -164,6 +176,22 @@ pub struct Ticket {
 }
 
 impl Ticket {
+    /// A pending response plus the completion that fulfils it: hand the
+    /// completion to [`ServiceEngine::submit_with`] (or a front tier that
+    /// forwards it there) and [`Ticket::wait`] on the ticket.
+    pub fn pending() -> (
+        Ticket,
+        impl FnOnce(Result<ServeResponse, ServeError>) + Send + 'static,
+    ) {
+        let slot = Arc::new(Slot::default());
+        let fill = Arc::clone(&slot);
+        let done = move |result| {
+            *fill.result.lock().expect("response slot poisoned") = Some(result);
+            fill.ready.notify_one();
+        };
+        (Ticket { slot }, done)
+    }
+
     /// Blocks until the request is served (or fails).
     pub fn wait(self) -> Result<ServeResponse, ServeError> {
         let mut guard = self.slot.result.lock().expect("response slot poisoned");
@@ -180,7 +208,9 @@ struct Job {
     /// Engine-assigned request id, carried into the request's root span.
     id: u64,
     item: Arc<BenchmarkItem>,
-    slot: Arc<Slot>,
+    /// Receives the outcome, exactly once (see
+    /// [`ServiceEngine::submit_with`]).
+    done: Box<dyn FnOnce(Result<ServeResponse, ServeError>) + Send>,
     deadline: Option<Instant>,
     /// Admission time, for queue-wait accounting.
     submitted: Instant,
@@ -423,63 +453,94 @@ impl ServiceEngine {
         req: ServeRequest,
         parent: Option<SharedSpan>,
     ) -> Result<Ticket, ServeError> {
-        let slot = Arc::new(Slot::default());
+        let (ticket, done) = Ticket::pending();
+        if self.submit_with(req, parent, done) {
+            return Ok(ticket);
+        }
+        Err(ticket
+            .wait()
+            .expect_err("a refused request completes with an error"))
+    }
+
+    /// [`ServiceEngine::submit_under`] with the outcome delivered to
+    /// `done` instead of a [`Ticket`]. `done` runs exactly once: on the
+    /// worker that served the request (after the pipeline returned or
+    /// panicked), or — when admission refuses the request (shed, shut
+    /// down) — on this thread before `submit_with` returns. Returns
+    /// whether the request was admitted.
+    pub fn submit_with(
+        &self,
+        req: ServeRequest,
+        parent: Option<SharedSpan>,
+        done: impl FnOnce(Result<ServeResponse, ServeError>) + Send + 'static,
+    ) -> bool {
         let has_parent = parent.is_some();
         let job = Job {
             id: self.shared.next_request.fetch_add(1, Ordering::Relaxed),
             item: req.item,
-            slot: Arc::clone(&slot),
+            done: Box::new(done),
             deadline: self.deadline.map(|d| Instant::now() + d),
             submitted: Instant::now(),
             parent,
         };
         let tx = self.tx.as_ref().expect("engine running");
-        match self.policy {
-            AdmissionPolicy::Block => {
-                tx.send(job).map_err(|_| ServeError::Shutdown)?;
-            }
+        let refused = match self.policy {
+            AdmissionPolicy::Block => tx.send(job).err().map(|e| (e.0, ServeError::Shutdown)),
             AdmissionPolicy::Shed => match tx.try_send(job) {
-                Ok(()) => {}
+                Ok(()) => None,
                 Err(TrySendError::Full(job)) => {
-                    self.shared.metrics.shed.fetch_add(1, Ordering::Relaxed);
-                    // Shed requests never reach a worker, so their trace is
-                    // just the root span with the admission outcome.
-                    let mut trace_id = job.parent.as_ref().and_then(|p| p.trace_id());
-                    if let (Some(tracer), false) = (&self.shared.tracer, has_parent) {
-                        let mut s = tracer.root("serve");
-                        trace_id = Some(s.trace_id());
-                        s.set("request", job.id);
-                        s.set("db", job.item.db_name.as_str());
-                        s.set("outcome", "shed");
-                        s.set_error();
-                    }
-                    if let Some(log) = &self.shared.requests {
-                        log.push(RequestSummary {
-                            request: job.id,
-                            trace_id,
-                            item_id: job.item.id.clone(),
-                            db: job.item.db_name.clone(),
-                            outcome: "shed",
-                            accepted: false,
-                            iterations: 0,
-                            plan_hits: 0,
-                            plan_misses: 0,
-                            queue_wait_us: 0,
-                            total_us: 0,
-                            stages_us: [0; 5],
-                            sql_digest: 0,
-                        });
-                    }
-                    if let Some(windows) = &self.shared.windows {
-                        windows.record(0, 0, true, None);
-                    }
-                    return Err(ServeError::Overloaded);
+                    self.record_shed(&job, has_parent);
+                    Some((job, ServeError::Overloaded))
                 }
-                Err(TrySendError::Disconnected(_)) => return Err(ServeError::Shutdown),
+                Err(TrySendError::Disconnected(job)) => Some((job, ServeError::Shutdown)),
             },
+        };
+        match refused {
+            None => {
+                self.shared.metrics.admitted.fetch_add(1, Ordering::Relaxed);
+                true
+            }
+            Some((job, error)) => {
+                (job.done)(Err(error));
+                false
+            }
         }
-        self.shared.metrics.admitted.fetch_add(1, Ordering::Relaxed);
-        Ok(Ticket { slot })
+    }
+
+    /// Counts a shed request and files its admission outcome. Shed
+    /// requests never reach a worker, so their trace is just the root span
+    /// with the admission outcome.
+    fn record_shed(&self, job: &Job, has_parent: bool) {
+        self.shared.metrics.shed.fetch_add(1, Ordering::Relaxed);
+        let mut trace_id = job.parent.as_ref().and_then(|p| p.trace_id());
+        if let (Some(tracer), false) = (&self.shared.tracer, has_parent) {
+            let mut s = tracer.root("serve");
+            trace_id = Some(s.trace_id());
+            s.set("request", job.id);
+            s.set("db", job.item.db_name.as_str());
+            s.set("outcome", "shed");
+            s.set_error();
+        }
+        if let Some(log) = &self.shared.requests {
+            log.push(RequestSummary {
+                request: job.id,
+                trace_id,
+                item_id: job.item.id.clone(),
+                db: job.item.db_name.clone(),
+                outcome: "shed",
+                accepted: false,
+                iterations: 0,
+                plan_hits: 0,
+                plan_misses: 0,
+                queue_wait_us: 0,
+                total_us: 0,
+                stages_us: [0; 5],
+                sql_digest: 0,
+            });
+        }
+        if let Some(windows) = &self.shared.windows {
+            windows.record(0, 0, true, None);
+        }
     }
 
     /// Submits a request and blocks for its response.
@@ -561,11 +622,15 @@ fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<Job>>) {
             Ok(job) => job,
             Err(_) => return,
         };
-        let result = process(shared, &job);
+        // A panic costs its request, not the worker: the request completes
+        // with a typed error and the worker takes the next job.
+        let result =
+            catch_unwind(AssertUnwindSafe(|| process(shared, &job))).unwrap_or_else(|_| {
+                shared.metrics.panics.fetch_add(1, Ordering::Relaxed);
+                Err(ServeError::Internal)
+            });
         shared.metrics.completed.fetch_add(1, Ordering::Relaxed);
-        let mut guard = job.slot.result.lock().expect("response slot poisoned");
-        *guard = Some(result);
-        job.slot.ready.notify_one();
+        (job.done)(result);
     }
 }
 
@@ -675,6 +740,7 @@ fn outcome_label(e: &ServeError) -> &'static str {
         ServeError::DeadlineExceeded => "deadline",
         ServeError::UnknownDatabase(_) => "unknown_db",
         ServeError::Shutdown => "shutdown",
+        ServeError::Internal => "internal",
     }
 }
 
@@ -1293,6 +1359,113 @@ mod tests {
             shed_roots, shed,
             "every shed request left an error root span"
         );
+    }
+
+    /// Panics while verifying one question; accepts every other.
+    struct PanicOn(String);
+    impl Verifier for PanicOn {
+        fn verify(&self, input: &VerifyInput<'_>) -> Verdict {
+            assert_ne!(input.question, self.0, "verifier bug on this question");
+            Verdict {
+                entails: true,
+                score: 1.0,
+            }
+        }
+        fn name(&self) -> &'static str {
+            "panic-on"
+        }
+    }
+
+    #[test]
+    fn a_panicking_request_costs_one_internal_error_not_the_worker() {
+        let suite = quick_suite();
+        let items: Vec<Arc<BenchmarkItem>> = suite.dev.iter().cloned().map(Arc::new).collect();
+        let target = Arc::clone(&items[0]);
+        let others: Vec<_> = items
+            .iter()
+            .filter(|i| i.question != target.question)
+            .take(5)
+            .cloned()
+            .collect();
+        let engine = ServiceEngine::start(
+            Arc::new(Catalog::from_suites([&suite])),
+            SimulatedModel::new(ModelProfile::resdsql_3b()),
+            CycleSql::new(LoopVerifier::Custom(Box::new(PanicOn(
+                target.question.clone(),
+            )))),
+            ServeConfig {
+                workers: 1,
+                ..ServeConfig::default()
+            },
+        );
+        // A dead worker drops the job and its completion: `recv` then
+        // fails instead of waiting forever.
+        let call = |item: &Arc<BenchmarkItem>| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let request = ServeRequest {
+                item: Arc::clone(item),
+            };
+            engine.submit_with(request, None, move |r| tx.send(r).unwrap());
+            rx.recv().expect("the request completed")
+        };
+        assert_eq!(call(&target).unwrap_err(), ServeError::Internal);
+        // The one worker survived: it serves every later request.
+        for item in &others {
+            assert!(call(item).unwrap().accepted, "{}", item.id);
+        }
+        assert_eq!(call(&target).unwrap_err(), ServeError::Internal);
+        let snap = engine.shutdown();
+        assert_eq!(snap.panics, 2);
+        assert_eq!(snap.completed, others.len() as u64 + 2);
+        assert_eq!(snap.admitted, snap.completed);
+    }
+
+    #[test]
+    fn submit_with_completes_every_outcome_exactly_once() {
+        let (engine, items) = slow_engine(
+            ServeConfig {
+                workers: 1,
+                queue_capacity: 1,
+                policy: AdmissionPolicy::Shed,
+                ..ServeConfig::default()
+            },
+            Duration::from_millis(40),
+            true,
+        );
+        let (tx, rx) = std::sync::mpsc::channel();
+        let admitted: Vec<bool> = (0..6)
+            .map(|i| {
+                let tx = tx.clone();
+                let on = std::thread::current().id();
+                engine.submit_with(
+                    ServeRequest {
+                        item: Arc::clone(&items[i % items.len()]),
+                    },
+                    None,
+                    move |r: Result<ServeResponse, ServeError>| {
+                        let refused_here = std::thread::current().id() == on;
+                        tx.send((i, r.map(|_| ()), refused_here)).unwrap();
+                    },
+                )
+            })
+            .collect();
+        drop(tx);
+        let snap = engine.shutdown();
+        let mut outcomes: Vec<_> = rx.iter().collect();
+        outcomes.sort_by_key(|(i, _, _)| *i);
+        assert_eq!(outcomes.len(), 6, "one completion per submit");
+        for ((i, result, refused_here), admitted) in outcomes.into_iter().zip(&admitted) {
+            // Admitted requests complete on a worker; sheds on the
+            // submitting thread, before `submit_with` returned.
+            assert_eq!(result.is_ok(), *admitted, "request {i}");
+            assert_eq!(refused_here, !admitted, "request {i}");
+            if !admitted {
+                assert_eq!(result, Err(ServeError::Overloaded));
+            }
+        }
+        let shed = admitted.iter().filter(|a| !**a).count() as u64;
+        assert!(shed >= 3, "burst mostly shed, got {shed}");
+        assert_eq!((snap.shed, snap.completed), (shed, 6 - shed));
     }
 
     #[test]

@@ -145,6 +145,9 @@ pub struct Metrics {
     pub timeouts: AtomicU64,
     /// Requests naming a database the catalog does not serve.
     pub unknown_db: AtomicU64,
+    /// Requests whose pipeline panicked (completed with
+    /// `ServeError::Internal`; the worker survived).
+    pub panics: AtomicU64,
     /// Loop iterations whose verdict was "entails" (one per accepted
     /// request).
     pub verifier_accepts: AtomicU64,
@@ -185,6 +188,7 @@ impl Metrics {
             shed: load(&self.shed),
             timeouts: load(&self.timeouts),
             unknown_db: load(&self.unknown_db),
+            panics: load(&self.panics),
             cache_hits,
             cache_misses,
             cache_hit_rate: if cache_hits + cache_misses == 0 {
@@ -247,6 +251,8 @@ pub struct MetricsSnapshot {
     pub timeouts: u64,
     /// Requests for unserved databases.
     pub unknown_db: u64,
+    /// Requests whose pipeline panicked.
+    pub panics: u64,
     /// Result-cache hits.
     pub cache_hits: u64,
     /// Result-cache misses.
@@ -363,7 +369,7 @@ mod tests {
     fn empty_snapshot_is_all_zero() {
         let m = Metrics::default();
         let s = m.snapshot(0, 0);
-        assert_eq!(s.completed, 0);
+        assert_eq!((s.completed, s.panics), (0, 0));
         assert_eq!((s.sim_candidates, s.sim_attempts, s.sim_retries), (0, 0, 0));
         assert_eq!(s.cache_hit_rate, 0.0);
         assert_eq!(s.avg_iterations, 0.0);

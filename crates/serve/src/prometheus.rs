@@ -115,7 +115,7 @@ pub fn render_metrics_sharded(shards: &[(usize, MetricsSnapshot)]) -> String {
 /// per snapshot carrying that snapshot's labels (empty for none).
 fn render_labeled(snapshots: &[(String, &MetricsSnapshot)]) -> String {
     let mut out = String::new();
-    let counters: [Family<u64>; 14] = [
+    let counters: [Family<u64>; 15] = [
         (
             "cyclesql_requests_admitted_total",
             "Requests admitted past backpressure.",
@@ -140,6 +140,11 @@ fn render_labeled(snapshots: &[(String, &MetricsSnapshot)]) -> String {
             "cyclesql_requests_unknown_db_total",
             "Requests naming an unserved database.",
             |s| s.unknown_db,
+        ),
+        (
+            "cyclesql_serve_panics_total",
+            "Requests whose pipeline panicked, answered with an internal error.",
+            |s| s.panics,
         ),
         (
             "cyclesql_plan_cache_hits_total",
@@ -441,6 +446,7 @@ mod tests {
             "cyclesql_requests_shed_total",
             "cyclesql_requests_timeout_total",
             "cyclesql_requests_unknown_db_total",
+            "cyclesql_serve_panics_total",
             "cyclesql_plan_cache_hits_total",
             "cyclesql_plan_cache_misses_total",
             "cyclesql_plan_cache_hit_rate",
