@@ -4,7 +4,8 @@
 
 use cyclesql_benchgen::BenchmarkItem;
 use cyclesql_explain::{
-    generate_explanation, sql_to_nl, Explanation, ExplanationFacets, RunCache, Sql2NlExplanation,
+    generate_explanation, sql_to_nl, Explanation, ExplanationFacets, NoCache, RunCache,
+    Sql2NlExplanation,
 };
 use cyclesql_models::{Candidate, PreparedCandidate};
 use cyclesql_nli::{
@@ -108,15 +109,15 @@ impl StageTimings {
 /// the candidate loop cleanly mid-iteration, a run cache that lets
 /// repeated queries skip execution and explanation, and a tracing context
 /// for request-scoped observability.
-#[derive(Default, Clone, Copy)]
+#[derive(Clone, Copy)]
 pub struct RunControls<'a> {
     /// Abandon the loop once this instant passes (checked between stages).
     pub deadline: Option<Instant>,
-    /// Cache of candidate runs (result and explanation) for candidates
-    /// that carry no run of their own, keyed by each candidate's text
-    /// (which must parse to its AST); `None` compiles, runs and explains
-    /// each such candidate.
-    pub cache: Option<&'a dyn RunCache>,
+    /// Where candidate runs (result and explanation) come from for
+    /// candidates that carry no run of their own, keyed by each
+    /// candidate's text (which must parse to its AST). The default,
+    /// [`NoCache`], compiles, runs and explains each such candidate.
+    pub cache: &'a dyn RunCache,
     /// Tracing context. When enabled, each candidate iteration opens a
     /// `cycle` child span with `execute` / `provenance` / `explain` /
     /// `verify` stage children. Disabled by default — the loop then
@@ -126,13 +127,26 @@ pub struct RunControls<'a> {
     /// execution and attach it to the `execute` stage span. Ignored when
     /// `span` is disabled; the candidate still executes exactly once, for
     /// real, bypassing `cache` and any run the candidate carries (its
-    /// explanation is built, not memoized).
+    /// explanation is built, not memoized). This is the loop's one bypass
+    /// of the cache hook.
     pub analyze: bool,
     /// Intra-query morsel workers per candidate execution. `0` or `1`
     /// executes single-threaded; serving callers derive this from their
     /// own pool occupancy so intra-query parallelism never oversubscribes
     /// the host. Results are bit-identical at every setting.
     pub exec_threads: usize,
+}
+
+impl Default for RunControls<'_> {
+    fn default() -> Self {
+        RunControls {
+            deadline: None,
+            cache: &NoCache,
+            span: SpanCtx::none(),
+            analyze: false,
+            exec_threads: 0,
+        }
+    }
 }
 
 impl RunControls<'_> {
@@ -323,38 +337,28 @@ impl CycleSql {
                 span: exec_span.as_ref().map_or(SpanCtx::none(), SpanCtx::of),
                 ..ExecOpts::default()
             };
-            let analyze = controls.analyze && exec_span.is_some();
             let mut profile = None;
             // The candidate's run — carried from the simulator's validation
-            // lookup, or else looked up by its text — serves both its
-            // execute and, below, its explanation.
-            let cached = match (&cand.run, controls.cache) {
-                _ if analyze => None,
-                (Some(run), _) => Some((Some(Arc::clone(run)), true)),
-                (None, Some(cache)) => Some(cache.run(db, &cand.sql, query, &opts)),
-                (None, None) => None,
-            };
-            let (executed, run, result_cached) = match cached {
-                Some((run, hit)) => {
-                    let executed = run.as_ref().map(|r| Arc::clone(&r.result)).ok_or(None);
-                    (executed, run, hit)
-                }
-                None => {
-                    let executed = compile(db, query)
-                        .and_then(|c| {
-                            if analyze {
-                                // Analyzed execution: same single run, instrumented.
-                                let (out, p) = c.run_opts_analyzed(db, &opts)?;
-                                profile = Some(p);
-                                Ok(out.result)
-                            } else {
-                                c.run_opts(db, &opts).map(|(out, _)| out.result)
-                            }
-                        })
-                        .map(Arc::new)
-                        .map_err(Some);
-                    (executed, None, false)
-                }
+            // lookup, or else read through the cache hook by its text —
+            // serves both its execute and, below, its explanation. An
+            // analyzed execution bypasses both: the same single run,
+            // instrumented.
+            let (executed, run, result_cached) = if controls.analyze && exec_span.is_some() {
+                let executed = compile(db, query)
+                    .and_then(|c| c.run_opts_analyzed(db, &opts))
+                    .map(|(out, p)| {
+                        profile = Some(p);
+                        Arc::new(out.result)
+                    })
+                    .map_err(Some);
+                (executed, None, false)
+            } else {
+                let (run, hit) = match &cand.run {
+                    Some(run) => (Some(Arc::clone(run)), true),
+                    None => controls.cache.run(db, &cand.sql, query, &opts),
+                };
+                let executed = run.as_ref().map(|r| Arc::clone(&r.result)).ok_or(None);
+                (executed, run, hit)
             };
             stages.execute += t.elapsed();
             if let Some(mut s) = exec_span {
@@ -369,8 +373,9 @@ impl CycleSql {
                         }
                     }
                     Err(e) => {
-                        // A cache keeps only that a query failed; rerun it
-                        // for the message, on traced failures alone.
+                        // A run from the hook keeps only that a query
+                        // failed; rerun it for the message, on traced
+                        // failures alone.
                         let e = e.clone().or_else(|| execute(db, query).err());
                         s.set("exec_error", e.map_or_else(String::new, |e| e.to_string()));
                         s.set_error();
@@ -406,10 +411,10 @@ impl CycleSql {
                         let mut make = || {
                             explain_grounded(db, query, &result, cand_span.as_ref(), &mut stages)
                         };
-                        let (e, cached) = match (controls.cache, &run) {
-                            (Some(cache), Some(run)) => cache.explanation(run, &mut make),
-                            (None, Some(run)) => run.explanation_or_init(make),
-                            (_, None) => (Arc::new(make()), false),
+                        let (e, cached) = match &run {
+                            Some(run) => controls.cache.explanation(run, &mut make),
+                            // Only an analyzed execution leaves no run.
+                            None => (Arc::new(make()), false),
                         };
                         if cached {
                             // A memoized explanation skips both stages; their
@@ -659,6 +664,19 @@ mod tests {
         )
     }
 
+    /// The model's beam as plain-text candidates, for the string entry
+    /// point.
+    fn strings(model: &SimulatedModel, req: &TranslationRequest<'_>) -> Vec<Candidate> {
+        model
+            .beam(req, None)
+            .map(|c| Candidate {
+                sql: c.sql,
+                rank: c.rank,
+                score: c.score,
+            })
+            .collect()
+    }
+
     #[test]
     fn oracle_loop_achieves_any_beam_ceiling() {
         let (suite, model) = setup();
@@ -674,7 +692,7 @@ mod tests {
                 severity: 0.0,
                 science: false,
             };
-            let cands = model.translate(&req);
+            let cands = strings(&model, &req);
             let outcome = cycle.run(item, db, &cands);
             if crate::metrics::ex_correct(db, &outcome.chosen_sql, &item.gold_sql) {
                 oracle_correct += 1;
@@ -702,7 +720,7 @@ mod tests {
                 severity: 0.0,
                 science: false,
             };
-            let cands = model.translate(&req);
+            let cands = strings(&model, &req);
             let outcome = cycle.run(item, db, &cands);
             // First parseable+executable candidate is accepted; with a
             // seq2seq profile every candidate is valid, so it's the top-1.
@@ -729,7 +747,7 @@ mod tests {
             severity: 0.0,
             science: false,
         };
-        let cands = model.translate(&req);
+        let cands = strings(&model, &req);
         let outcome = cycle.run(item, db, &cands);
         assert!(!outcome.accepted);
         assert_eq!(outcome.chosen_sql, cands[0].sql);
@@ -999,7 +1017,7 @@ mod control_tests {
         let ctx = ExperimentContext::shared_quick();
         let runs = CountingRuns::default();
         let controls = RunControls {
-            cache: Some(&runs),
+            cache: &runs,
             ..RunControls::default()
         };
         for cycle in [CycleSql::new(LoopVerifier::Oracle), ctx.cycle()] {
@@ -1062,7 +1080,7 @@ mod control_tests {
             {
                 let root = tracer.root("serve");
                 let controls = RunControls {
-                    cache: Some(&runs),
+                    cache: &runs,
                     span: SpanCtx::of(&root),
                     ..RunControls::default()
                 };

@@ -411,7 +411,7 @@ mod tests {
     use crate::metrics::{em_correct, ex_correct, ts_correct, VariantCache};
     use crate::training::{train_verifier, CollectConfig};
     use cyclesql_benchgen::{build_spider_suite, SuiteConfig};
-    use cyclesql_models::ModelProfile;
+    use cyclesql_models::{Candidate, ModelProfile};
     use cyclesql_nli::TrainConfig;
 
     fn small_session() -> EvalSession {
@@ -516,7 +516,14 @@ mod tests {
                         severity,
                         science: false,
                     };
-                    let candidates = model.translate(&req);
+                    let candidates: Vec<Candidate> = model
+                        .beam(&req, None)
+                        .map(|c| Candidate {
+                            sql: c.sql,
+                            rank: c.rank,
+                            score: c.score,
+                        })
+                        .collect();
                     let chosen = match mode {
                         EvalMode::Base => candidates
                             .first()

@@ -8,8 +8,7 @@ use crate::cycle::{CycleSql, LoopVerifier};
 use crate::eval::{evaluate, EvalMode, EvalOptions, Parallelism};
 use crate::human::{InteractiveCycleSql, SimulatedHuman};
 use cyclesql_benchgen::Split;
-use cyclesql_models::{Candidate, ModelProfile, SimulatedModel, TranslationRequest};
-use cyclesql_storage::execute;
+use cyclesql_models::{ModelProfile, SimulatedModel, TranslationRequest};
 use std::fmt::Write as _;
 
 /// One sweep point.
@@ -43,30 +42,20 @@ cyclesql_obs::impl_to_json! { ExtHumanResult { autonomous_ex, oracle_ex, rows } 
 /// Runs the sweep on RESDSQL-3B over the SPIDER dev split.
 pub fn run(ctx: &ExperimentContext) -> ExtHumanResult {
     let model = SimulatedModel::new(ModelProfile::resdsql_3b());
-    let autonomous = evaluate(
-        &model,
-        &EvalOptions {
+    let loop_ex = |cycle: &CycleSql| {
+        let opts = EvalOptions {
             session: &ctx.spider,
             split: Split::Dev,
             mode: EvalMode::CycleSql,
-            cycle: Some(&ctx.cycle()),
+            cycle: Some(cycle),
             k: None,
             compute_ts: false,
             parallelism: Parallelism::Auto,
-        },
-    );
-    let oracle = evaluate(
-        &model,
-        &EvalOptions {
-            session: &ctx.spider,
-            split: Split::Dev,
-            mode: EvalMode::CycleSql,
-            cycle: Some(&CycleSql::new(LoopVerifier::Oracle)),
-            k: None,
-            compute_ts: false,
-            parallelism: Parallelism::Auto,
-        },
-    );
+        };
+        evaluate(&model, &opts).ex
+    };
+    let autonomous_ex = loop_ex(&ctx.cycle());
+    let oracle_ex = loop_ex(&CycleSql::new(LoopVerifier::Oracle));
 
     let mut rows = Vec::new();
     for &competence in &[0.7, 0.85, 0.95, 1.0] {
@@ -92,27 +81,16 @@ pub fn run(ctx: &ExperimentContext) -> ExtHumanResult {
                     severity: 0.0,
                     science: false,
                 };
-                let prepared = model.translate_prepared(&req, prep.as_prepared_gold().as_ref());
-                let candidates: Vec<Candidate> = prepared
-                    .iter()
-                    .map(|c| Candidate {
-                        sql: c.sql.clone(),
-                        rank: c.rank,
-                        score: c.score,
-                    })
-                    .collect();
-                let out = interactive.run(item, db, &candidates);
-                // EX against the session's cached gold result: the chosen
-                // candidate's prepared AST is executed once.
-                let chosen_result = prepared
-                    .iter()
-                    .find(|c| c.sql == out.chosen_sql)
-                    .and_then(|c| c.ast.as_deref())
-                    .and_then(|q| execute(db, q).ok());
-                let ok = match (prep.gold_result.as_deref(), chosen_result.as_ref()) {
-                    (Some(g), Some(p)) => p.bag_eq(g),
-                    _ => false,
-                };
+                let gold = prep.as_prepared_gold();
+                let gold_result = prep.gold_result.as_deref();
+                let out = interactive.run(item, db, model.beam(&req, gold.as_ref()), gold_result);
+                // EX against the session's cached gold result, from the
+                // result the loop read for its choice.
+                let ok = out
+                    .chosen_result
+                    .as_deref()
+                    .zip(gold_result)
+                    .is_some_and(|(p, g)| p.bag_eq(g));
                 correct += ok as usize;
                 escalations += out.escalations;
             }
@@ -126,8 +104,8 @@ pub fn run(ctx: &ExperimentContext) -> ExtHumanResult {
         }
     }
     ExtHumanResult {
-        autonomous_ex: autonomous.ex,
-        oracle_ex: oracle.ex,
+        autonomous_ex,
+        oracle_ex,
         rows,
     }
 }

@@ -12,15 +12,14 @@
 //! competence and errs deterministically otherwise (substitution documented
 //! in DESIGN.md).
 
-use crate::cycle::FeedbackKind;
-use crate::metrics::ex_correct;
 use cyclesql_benchgen::BenchmarkItem;
 use cyclesql_explain::generate_explanation;
-use cyclesql_models::Candidate;
+use cyclesql_models::PreparedCandidate;
 use cyclesql_nli::{Hypothesis, TrainedVerifier, Verifier, VerifyInput};
 use cyclesql_provenance::track_provenance;
-use cyclesql_sql::parse;
-use cyclesql_storage::{execute, Database};
+use cyclesql_storage::{Database, ResultSet};
+use std::borrow::Borrow;
+use std::sync::Arc;
 
 /// A human (or stand-in) judging whether an explanation matches a question.
 pub trait HumanJudge {
@@ -63,6 +62,9 @@ pub struct InteractiveOutcome {
     pub escalations: usize,
     /// Whether any candidate was accepted (vs top-1 fallback).
     pub accepted: bool,
+    /// The chosen candidate's result on the loop's database, when it ran —
+    /// consumers can compute EX without re-executing `chosen_sql`.
+    pub chosen_result: Option<Arc<ResultSet>>,
 }
 
 /// The interactive CycleSQL variant: verifier first, human on uncertainty.
@@ -77,28 +79,38 @@ pub struct InteractiveCycleSql<'a, H: HumanJudge> {
 }
 
 impl<H: HumanJudge> InteractiveCycleSql<'_, H> {
-    /// Runs the interactive loop over ranked candidates.
-    pub fn run(
+    /// Runs the interactive loop over the inputs of
+    /// [`crate::CycleSql::run_prepared`], pulling candidates only as far as
+    /// it examines them. Candidates that do not parse, run, or yield
+    /// provenance are skipped; an escalated one is actually correct iff its
+    /// result bag-equals `gold_result`.
+    pub fn run<C: Borrow<PreparedCandidate>>(
         &self,
         item: &BenchmarkItem,
         db: &Database,
-        candidates: &[Candidate],
+        candidates: impl IntoIterator<Item = C>,
+        gold_result: Option<&ResultSet>,
     ) -> InteractiveOutcome {
         let mut escalations = 0usize;
+        let mut examined = 0usize;
+        // The top-1's text and result, for the fallback outcome.
+        let mut top1: (String, Option<Arc<ResultSet>>) = Default::default();
         // The question's features, mined at the first verdict.
         let mut hypothesis: Option<Hypothesis> = None;
-        for (i, cand) in candidates.iter().enumerate() {
-            let Ok(query) = parse(&cand.sql) else {
+        for cand in candidates {
+            let cand = cand.borrow();
+            examined += 1;
+            let result = cand.result(db);
+            if examined == 1 {
+                top1 = (cand.sql.clone(), result.clone());
+            }
+            let (Some(query), Some(result)) = (cand.ast.as_deref(), result) else {
                 continue;
             };
-            let Ok(result) = execute(db, &query) else {
+            let Ok(prov) = track_provenance(db, query, &result, 0) else {
                 continue;
             };
-            let prov = match track_provenance(db, &query, &result, 0) {
-                Ok(p) => p,
-                Err(_) => continue,
-            };
-            let explanation = generate_explanation(db, &query, &result, 0, &prov);
+            let explanation = generate_explanation(db, query, &result, 0, &prov);
             let input = VerifyInput {
                 question: &item.question,
                 premise_text: &explanation.text,
@@ -111,7 +123,7 @@ impl<H: HumanJudge> InteractiveCycleSql<'_, H> {
                 (verdict.score - self.verifier.model.threshold).abs() < self.uncertainty_band;
             let accept = if uncertain {
                 escalations += 1;
-                let actually_correct = ex_correct(db, &cand.sql, &item.gold_sql);
+                let actually_correct = gold_result.is_some_and(|g| result.bag_eq(g));
                 self.human
                     .judge(&item.question, &explanation.text, actually_correct)
             } else {
@@ -120,27 +132,23 @@ impl<H: HumanJudge> InteractiveCycleSql<'_, H> {
             if accept {
                 return InteractiveOutcome {
                     chosen_sql: cand.sql.clone(),
-                    iterations: i + 1,
+                    iterations: examined,
                     escalations,
                     accepted: true,
+                    chosen_result: Some(result),
                 };
             }
         }
+        let (chosen_sql, chosen_result) = top1;
         InteractiveOutcome {
-            chosen_sql: candidates
-                .first()
-                .map(|c| c.sql.clone())
-                .unwrap_or_default(),
-            iterations: candidates.len(),
+            chosen_sql,
+            iterations: examined,
             escalations,
             accepted: false,
+            chosen_result,
         }
     }
 }
-
-/// Convenience: which feedback channel interactive runs use (always
-/// data-grounded — humans read the same explanations the verifier does).
-pub const INTERACTIVE_FEEDBACK: FeedbackKind = FeedbackKind::DataGrounded;
 
 fn fxhash(s: &str) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
@@ -155,6 +163,8 @@ fn fxhash(s: &str) -> u64 {
 mod tests {
     use super::*;
     use crate::experiments::ExperimentContext;
+    use crate::metrics::ex_correct;
+    use cyclesql_benchgen::Split;
     use cyclesql_models::{ModelProfile, SimulatedModel, TranslationRequest};
 
     fn accuracy_with(ctx: &ExperimentContext, band: f64, competence: f64) -> (f64, f64) {
@@ -171,7 +181,7 @@ mod tests {
         let mut correct = 0usize;
         let mut escalation_rate = 0usize;
         let items = &ctx.spider.dev;
-        for item in items {
+        for (idx, item) in items.iter().enumerate() {
             let db = ctx.spider.database(item);
             let req = TranslationRequest {
                 item,
@@ -180,8 +190,12 @@ mod tests {
                 severity: 0.0,
                 science: false,
             };
-            let cands = model.translate(&req);
-            let out = loop_.run(item, db, &cands);
+            let gold = ctx
+                .spider
+                .prepared_item(Split::Dev, idx)
+                .gold_result
+                .as_deref();
+            let out = loop_.run(item, db, model.beam(&req, None), gold);
             correct += ex_correct(db, &out.chosen_sql, &item.gold_sql) as usize;
             escalation_rate += out.escalations;
         }
@@ -210,6 +224,66 @@ mod tests {
             auto.ex
         );
         assert!(escalations > 0.0, "band must trigger escalations");
+    }
+
+    #[test]
+    fn interactive_loop_pulls_only_the_candidates_it_examines() {
+        use std::cell::Cell;
+        let ctx = ExperimentContext::shared_quick();
+        let model = SimulatedModel::new(ModelProfile::resdsql_3b());
+        // Every verdict is escalated to a perfect human, who accepts
+        // exactly the execution-correct candidates.
+        let human = SimulatedHuman {
+            competence: 1.0,
+            seed: 0xBEE,
+        };
+        let loop_ = InteractiveCycleSql {
+            verifier: &ctx.verifier,
+            human: &human,
+            uncertainty_band: f64::INFINITY,
+        };
+        let k = 8;
+        let (mut later, mut fallbacks) = (0usize, 0usize);
+        for (idx, item) in ctx.spider.dev.iter().enumerate() {
+            let db = ctx.spider.database(item);
+            let req = TranslationRequest {
+                item,
+                db,
+                k,
+                severity: 0.0,
+                science: false,
+            };
+            let prep = ctx.spider.prepared_item(Split::Dev, idx);
+            let gold = prep.as_prepared_gold();
+            let gold_result = prep.gold_result.as_deref();
+            let pulled = Cell::new(0usize);
+            let beam = model
+                .beam(&req, gold.as_ref())
+                .inspect(|_| pulled.set(pulled.get() + 1));
+            let out = loop_.run(item, db, beam, gold_result);
+            if out.accepted {
+                // An acceptance at iteration i pulled i candidates.
+                assert_eq!(pulled.get(), out.iterations, "{}", item.id);
+                later += usize::from(out.iterations > 1);
+            } else {
+                // Nothing validated: every candidate was pulled.
+                assert_eq!((out.iterations, pulled.get()), (k, k), "{}", item.id);
+                fallbacks += 1;
+            }
+            let chosen_is_gold = out
+                .chosen_result
+                .as_deref()
+                .zip(gold_result)
+                .is_some_and(|(c, g)| c.bag_eq(g));
+            assert_eq!(
+                chosen_is_gold,
+                ex_correct(db, &out.chosen_sql, &item.gold_sql),
+                "{}: the chosen result is the chosen SQL's",
+                item.id
+            );
+        }
+        assert!(later > 0, "some acceptance past the top-1");
+        assert!(fallbacks > 0, "some run validated nothing");
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub use cycle::{
     candidate_premise, premise_from_parts, CycleSql, FeedbackKind, LoopOutcome, LoopVerifier,
     RunControls, StageTimings,
 };
-pub use cyclesql_explain::{CachedRun, RunCache};
+pub use cyclesql_explain::{CachedRun, NoCache, RunCache};
 pub use eval::{
     any_beam_accuracy, evaluate, evaluate_pair, evaluate_science_em, trained_loop, EvalMode,
     EvalOptions, EvalResult, Parallelism,

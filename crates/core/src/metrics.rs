@@ -341,7 +341,7 @@ mod more_tests {
                 severity: 0.0,
                 science: false,
             };
-            let pred = &model.translate(&req)[0].sql;
+            let pred = &model.beam(&req, None).next().unwrap().sql;
             let ex = ex_correct(db, pred, &item.gold_sql);
             let ts = ts_correct(&suite, &cache, db, &item.db_name, pred, &item.gold_sql);
             assert!(!ts || ex, "{}: TS implies EX", item.id);

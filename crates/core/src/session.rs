@@ -22,7 +22,7 @@
 
 use crate::metrics::{VariantCache, TS_VARIANTS};
 use cyclesql_benchgen::{BenchmarkItem, BenchmarkSuite, Split};
-use cyclesql_explain::CachedRun;
+use cyclesql_explain::{CachedRun, NoCache};
 use cyclesql_models::PreparedGold;
 use cyclesql_sql::{parse, to_sql, CanonicalSql, Query};
 use cyclesql_storage::{compile, CompiledQuery, Database, ResultSet};
@@ -88,7 +88,7 @@ impl PreparedItem {
                 .gold_result
                 .clone()
                 .map(|r| Arc::new(CachedRun::new(r))),
-            source: None,
+            source: &NoCache,
         })
     }
 }

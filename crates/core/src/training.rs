@@ -316,7 +316,7 @@ mod tests {
                     severity: 0.0,
                     science: false,
                 };
-                for cand in model.translate(&req) {
+                for cand in model.beam(&req, None) {
                     if negatives_here >= config.max_negatives_per_item {
                         break;
                     }

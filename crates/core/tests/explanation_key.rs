@@ -80,7 +80,7 @@ fn check_suite(
                 run: CachedRun::execute(db, &ast, &ExecOpts::default()),
                 sql: to_sql(&ast),
                 ast: Arc::new(ast),
-                source: Some(runs),
+                source: runs,
             });
             for cand in model.translate_prepared(&request, gold.as_ref()) {
                 let Some(ast) = cand.ast else { continue };

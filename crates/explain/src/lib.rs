@@ -50,5 +50,5 @@ pub use join_sem::{
 pub use nlg::{generate_explanation, Explanation, ExplanationFacets};
 pub use polish::polish;
 pub use quality::{panel_rating, rate_explanation, QualityScore, RatingBucket};
-pub use run_cache::{CachedRun, RunCache};
+pub use run_cache::{CachedRun, NoCache, RunCache};
 pub use sql2nl::{sql_to_nl, Sql2NlExplanation};

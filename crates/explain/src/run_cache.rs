@@ -71,7 +71,7 @@ impl CachedRun {
 /// Where query runs come from: one entry per (database, query text) holds
 /// the result and the explanation, so a query is printed, keyed and looked
 /// up once per request for both. A serving engine answers from its result
-/// cache; without one, callers run [`CachedRun::execute`] directly.
+/// cache; offline callers (evaluation, experiments) pass [`NoCache`].
 pub trait RunCache: Sync {
     /// The run of `query` on `db` and whether the lookup hit. `sql` is the
     /// key: it must be a text that parses to `query` (the simulator passes
@@ -93,5 +93,23 @@ pub trait RunCache: Sync {
         make: &mut dyn FnMut() -> Explanation,
     ) -> (Arc<Explanation>, bool) {
         run.explanation_or_init(make)
+    }
+}
+
+/// The hook that keeps nothing: every lookup is a miss that compiles and
+/// runs the query ([`CachedRun::execute`]), so every explanation is built
+/// fresh — what a serving cache of capacity 0 does.
+#[derive(Debug, Clone, Copy)]
+pub struct NoCache;
+
+impl RunCache for NoCache {
+    fn run(
+        &self,
+        db: &Database,
+        _sql: &str,
+        query: &Query,
+        opts: &ExecOpts<'_>,
+    ) -> (Option<Arc<CachedRun>>, bool) {
+        (CachedRun::execute(db, query, opts), false)
     }
 }

@@ -25,7 +25,7 @@
 //!     severity: 0.0,
 //!     science: false,
 //! };
-//! let candidates = model.translate(&req);
+//! let candidates: Vec<_> = model.beam(&req, None).collect();
 //! assert_eq!(candidates.len(), 4);
 //! assert!(candidates[0].score > candidates[3].score);
 //! ```

@@ -14,13 +14,15 @@
 use crate::error_ops::apply_random_error;
 use crate::profile::{ModelKind, ModelProfile};
 use cyclesql_benchgen::BenchmarkItem;
-use cyclesql_explain::{CachedRun, RunCache};
+use cyclesql_explain::{CachedRun, NoCache, RunCache};
 use cyclesql_rng::StdRng;
 use cyclesql_sql::{parse, to_sql, AggFunc, BinOp, Expr, FuncArg, Literal, Query, SelectItem};
 use cyclesql_storage::{execute, Database, ExecOpts, ResultSet};
 use std::sync::Arc;
 
-/// One translation candidate, as emitted by a model.
+/// One plain-text translation candidate, as any model emits it (a beam
+/// decoder, a chat-completion API): the input of the feedback loop's
+/// string entry point.
 #[derive(Debug, Clone)]
 pub struct Candidate {
     /// The candidate SQL text (may be unparseable for LLM profiles).
@@ -34,8 +36,8 @@ pub struct Candidate {
 /// Gold-side artifacts prepared once per item by an evaluation session or
 /// once per served request: the parsed gold AST, its print, and (when the
 /// gold executes) its run on the item's database. Passing this into
-/// [`SimulatedModel::translate_prepared`] lets the simulator skip
-/// re-parsing, re-printing and re-executing the gold query.
+/// [`SimulatedModel::beam`] lets the simulator skip re-parsing,
+/// re-printing and re-executing the gold query.
 #[derive(Clone)]
 pub struct PreparedGold<'a> {
     /// The parsed gold query.
@@ -46,10 +48,10 @@ pub struct PreparedGold<'a> {
     /// The gold run on the item's database; `None` if execution failed.
     pub run: Option<Arc<CachedRun>>,
     /// Where the simulator runs the queries that check its wrong
-    /// candidates (a serving engine's result cache); `None` executes them
-    /// directly. Either way the same rows come back, so the candidate list
-    /// does not depend on it.
-    pub source: Option<&'a dyn RunCache>,
+    /// candidates: a serving engine's result cache, or [`NoCache`], which
+    /// executes each one. Either way the same rows come back, so the
+    /// candidate list does not depend on it.
+    pub source: &'a dyn RunCache,
 }
 
 /// A candidate paired with its parse artifact, so downstream consumers
@@ -79,15 +81,6 @@ impl PreparedCandidate {
         match &self.run {
             Some(run) => Some(Arc::clone(&run.result)),
             None => execute(db, ast).ok().map(Arc::new),
-        }
-    }
-
-    /// Drops the parse artifact, leaving the plain string candidate.
-    pub fn into_candidate(self) -> Candidate {
-        Candidate {
-            sql: self.sql,
-            rank: self.rank,
-            score: self.score,
         }
     }
 }
@@ -142,50 +135,27 @@ impl SimulatedModel {
             .collect()
     }
 
-    /// Produces the ranked candidate list for an item. Deterministic per
-    /// (model, item).
-    pub fn translate(&self, req: &TranslationRequest<'_>) -> Vec<Candidate> {
-        self.translate_prepared(req, None)
-            .into_iter()
-            .map(PreparedCandidate::into_candidate)
-            .collect()
-    }
-
-    /// Like [`SimulatedModel::translate`], but reuses prepared gold
-    /// artifacts and emits candidates with their parsed ASTs attached.
-    ///
-    /// The RNG draw sequence is identical to the string path — the gold
-    /// parse and gold execution consume no randomness — so the candidate
-    /// lists are bit-for-bit the same whether or not `gold` is supplied.
+    /// The whole [`SimulatedModel::beam`], drawn. The loop, evaluation and
+    /// experiments read the beam itself; this collector stays because the
+    /// benchmark harness under `perfbench/` calls it.
     pub fn translate_prepared(
         &self,
         req: &TranslationRequest<'_>,
         gold: Option<&PreparedGold<'_>>,
     ) -> Vec<PreparedCandidate> {
-        self.translate_counted(req, gold).0
+        self.beam(req, gold).collect()
     }
 
-    /// [`SimulatedModel::translate_prepared`], also reporting the wrong
-    /// candidates' validation attempts and retries: the whole
-    /// [`SimulatedModel::beam`], drawn.
-    pub fn translate_counted(
-        &self,
-        req: &TranslationRequest<'_>,
-        gold: Option<&PreparedGold<'_>>,
-    ) -> (Vec<PreparedCandidate>, SimStats) {
-        let mut beam = self.beam(req, gold);
-        let candidates = beam.by_ref().collect();
-        (candidates, beam.stats())
-    }
-
-    /// The ranked candidate list as a stream: each candidate is drawn when
-    /// it is pulled, so a consumer that stops early (the feedback loop
-    /// accepting a candidate) never pays for the rest.
+    /// The ranked candidate list for an item as a stream, deterministic
+    /// per (model, item): each candidate is drawn when it is pulled, so a
+    /// consumer that stops early (the feedback loop accepting a candidate)
+    /// never pays for the rest. [`Beam::stats`] reports what was drawn.
     ///
     /// Candidate `i` depends only on the RNG state the first `i` left
-    /// behind, never on how far the stream is read or on a result source,
-    /// so every prefix equals the same prefix of
-    /// [`SimulatedModel::translate_prepared`].
+    /// behind, never on how far the stream is read, on a result source, or
+    /// on whether `gold` is supplied (the gold parse and gold execution
+    /// consume no randomness), so every prefix equals the same prefix of
+    /// the fully drawn list.
     pub fn beam<'a>(
         &'a self,
         req: &TranslationRequest<'a>,
@@ -317,7 +287,7 @@ impl Iterator for Beam<'_> {
             let gr = gold_run
                 .get_or_insert_with(|| CachedRun::execute(req.db, gold_ast, &ExecOpts::default()))
                 .clone();
-            let source = gold.and_then(|g| g.source);
+            let source = gold.map_or(&NoCache as &dyn RunCache, |g| g.source);
             wrong_candidate(gold_ast, gr.as_deref(), req.db, source, rng, stats)
         };
         let cand = PreparedCandidate {
@@ -347,13 +317,13 @@ impl ExactSizeIterator for Beam<'_> {}
 /// its cache key, and it is never reparsed (every error operator emits an
 /// AST that equals the parse of its print). The gold run is supplied by
 /// the caller (computed at most once per translation); each attempt runs
-/// through `source` when one is given, and the accepted attempt's run
-/// travels with the candidate.
+/// through `source`, and the accepted attempt's run travels with the
+/// candidate.
 fn wrong_candidate(
     gold: &Query,
     gold_run: Option<&CachedRun>,
     db: &Database,
-    source: Option<&dyn RunCache>,
+    source: &dyn RunCache,
     rng: &mut StdRng,
     stats: &mut SimStats,
 ) -> (String, Option<Arc<Query>>, Option<Arc<CachedRun>>) {
@@ -368,11 +338,7 @@ fn wrong_candidate(
             }
         }
         let sql = to_sql(&q);
-        let opts = ExecOpts::default();
-        let run = match source {
-            Some(source) => source.run(db, &sql, &q, &opts).0,
-            None => CachedRun::execute(db, &q, &opts),
-        };
+        let run = source.run(db, &sql, &q, &ExecOpts::default()).0;
         stats.attempts += 1;
         let Some(run) = run else {
             stats.retries += 1;
@@ -524,8 +490,8 @@ mod tests {
             severity: 0.0,
             science: false,
         };
-        let a = model.translate(&req);
-        let b = model.translate(&req);
+        let a: Vec<_> = model.beam(&req, None).collect();
+        let b: Vec<_> = model.beam(&req, None).collect();
         assert_eq!(
             a.iter().map(|c| &c.sql).collect::<Vec<_>>(),
             b.iter().map(|c| &c.sql).collect::<Vec<_>>()
@@ -574,17 +540,19 @@ mod tests {
                     severity: 0.0,
                     science: false,
                 };
-                let plain = model.translate(&req);
+                let plain: Vec<_> = model.beam(&req, None).collect();
                 let gold_ast = Arc::new(parse(&item.gold_sql).unwrap());
                 let mut gold = PreparedGold {
                     ast: Arc::clone(&gold_ast),
                     sql: to_sql(&gold_ast),
                     run: CachedRun::execute(db, &gold_ast, &ExecOpts::default()),
-                    source: None,
+                    source: &NoCache,
                 };
-                let (prepared, stats) = model.translate_counted(&req, Some(&gold));
-                gold.source = Some(&source);
-                let (sourced, sourced_stats) = model.translate_counted(&req, Some(&gold));
+                let mut beam = model.beam(&req, Some(&gold));
+                let (prepared, stats): (Vec<_>, _) = (beam.by_ref().collect(), beam.stats());
+                gold.source = &source;
+                let mut beam = model.beam(&req, Some(&gold));
+                let (sourced, sourced_stats): (Vec<_>, _) = (beam.by_ref().collect(), beam.stats());
                 assert_eq!(stats, sourced_stats, "{}", item.id);
                 assert!(stats.retries <= stats.attempts);
                 assert_eq!(plain.len(), prepared.len());
@@ -645,9 +613,10 @@ mod tests {
                     ast: Arc::clone(&gold_ast),
                     sql: to_sql(&gold_ast),
                     run: CachedRun::execute(db, &gold_ast, &ExecOpts::default()),
-                    source: Some(&source),
+                    source: &source,
                 };
-                let (eager, eager_stats) = model.translate_counted(&req, Some(&gold));
+                let mut beam = model.beam(&req, Some(&gold));
+                let (eager, eager_stats): (Vec<_>, _) = (beam.by_ref().collect(), beam.stats());
                 assert_eq!(eager_stats.candidates, eager.len() as u64);
                 for n in 0..=eager.len() {
                     let mut beam = model.beam(&req, Some(&gold));
@@ -708,7 +677,7 @@ mod tests {
             severity: 0.0,
             science: false,
         };
-        let cands = model.translate(&req);
+        let cands: Vec<_> = model.beam(&req, None).collect();
         for w in cands.windows(2) {
             assert!(w[0].score > w[1].score);
         }
@@ -733,7 +702,7 @@ mod tests {
                 severity: 0.0,
                 science: false,
             };
-            let cands = model.translate(&req);
+            let cands: Vec<_> = model.beam(&req, None).collect();
             total += 1;
             if let Ok(q) = parse(&cands[0].sql) {
                 if let Ok(r) = execute(db, &q) {
@@ -764,8 +733,8 @@ mod tests {
                 severity: 0.0,
                 science: false,
             };
-            let cands = model.translate(&req);
-            let correct_at = |c: &Candidate| {
+            let cands: Vec<_> = model.beam(&req, None).collect();
+            let correct_at = |c: &PreparedCandidate| {
                 parse(&c.sql)
                     .ok()
                     .and_then(|q| execute(db, &q).ok())
@@ -801,7 +770,7 @@ mod tests {
                     severity,
                     science: false,
                 };
-                let cands = model.translate(&req);
+                let cands: Vec<_> = model.beam(&req, None).collect();
                 if let Ok(q) = parse(&cands[0].sql) {
                     if let Ok(r) = execute(db, &q) {
                         if r.bag_eq(&gold_result) {
@@ -834,7 +803,7 @@ mod tests {
                 severity: 0.0,
                 science: false,
             };
-            let cands = model.translate(&req);
+            let cands: Vec<_> = model.beam(&req, None).collect();
             let Ok(q) = parse(&cands[0].sql) else {
                 continue;
             };
@@ -886,7 +855,7 @@ mod tests {
                 severity: 0.0,
                 science: false,
             };
-            let cands = model.translate(&req);
+            let cands: Vec<_> = model.beam(&req, None).collect();
             assert_eq!(
                 cands.len(),
                 model.profile.default_k,

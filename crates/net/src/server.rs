@@ -35,7 +35,7 @@ use cyclesql_serve::{
 use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -358,8 +358,10 @@ struct Turn {
 }
 
 impl Conn {
-    fn turn(&self) -> std::sync::MutexGuard<'_, Turn> {
-        self.turn.lock().expect("connection turn poisoned")
+    /// The turn's flags stay consistent even when a completion panicked
+    /// holding the lock, so a poisoned lock is used as it is.
+    fn turn(&self) -> MutexGuard<'_, Turn> {
+        self.turn.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn in_flight(&self) -> bool {
@@ -373,23 +375,32 @@ impl Conn {
         let waited = turn.in_flight;
         while turn.in_flight {
             turn.waiting = true;
-            turn = self.turn_free.wait(turn).expect("connection turn poisoned");
+            turn = self
+                .turn_free
+                .wait(turn)
+                .unwrap_or_else(PoisonError::into_inner);
         }
         turn.waiting = false;
         (!turn.closed).then_some(waited)
     }
 
-    /// Marks a response in flight; call before handing the request off.
-    fn hand_off(&self) {
+    /// Marks a response in flight; call before handing the request off,
+    /// and hand the returned debt to whoever completes it.
+    fn hand_off(self: &Arc<Self>) -> Owed {
         self.turn().in_flight = true;
+        Owed {
+            conn: Arc::clone(self),
+            paid: false,
+        }
     }
 
-    /// Writes the in-flight response and gives the turn back. A closing
-    /// response, or a failed write, shuts the socket down, which also ends
-    /// the connection thread's read.
-    fn complete(&self, resp: &Response) {
+    /// Writes the in-flight response — or, with none, abandons it — and
+    /// gives the turn back. A closing response, a failed write, or an
+    /// abandoned answer shuts the socket down, which also ends the
+    /// connection thread's read.
+    fn complete(&self, resp: Option<&Response>) {
         let mut turn = self.turn();
-        let close = resp.write_to(&mut &self.stream).is_err() || resp.close;
+        let close = resp.is_none_or(|resp| resp.write_to(&mut &self.stream).is_err() || resp.close);
         if close {
             let _ = self.stream.shutdown(Shutdown::Both);
         }
@@ -397,6 +408,29 @@ impl Conn {
         turn.closed |= close;
         if turn.waiting {
             self.turn_free.notify_one();
+        }
+    }
+}
+
+/// The response a worker owes a connection ([`Conn::hand_off`]). Dropped
+/// unpaid — its completion panicked — it closes the connection, so the
+/// connection thread waiting for its turn wakes up and exits.
+struct Owed {
+    conn: Arc<Conn>,
+    paid: bool,
+}
+
+impl Owed {
+    fn complete(mut self, resp: &Response) {
+        self.conn.complete(Some(resp));
+        self.paid = true;
+    }
+}
+
+impl Drop for Owed {
+    fn drop(&mut self) {
+        if !self.paid {
+            self.conn.complete(None);
         }
     }
 }
@@ -737,8 +771,8 @@ fn query(
         shared.metrics.spilled.fetch_add(1, Ordering::Relaxed);
     }
     let keep_alive = req.keep_alive;
-    let (wire, metrics, parent) = (Arc::clone(conn), Arc::clone(&shared.metrics), span.clone());
-    conn.hand_off();
+    let (metrics, parent) = (Arc::clone(&shared.metrics), span.clone());
+    let owed = conn.hand_off();
     shared
         .sharded
         .submit_on(decision, q.into_item(), parent, move |result| {
@@ -746,7 +780,7 @@ fn query(
             if !keep_alive {
                 resp.close = true;
             }
-            wire.complete(&resp);
+            owed.complete(&resp);
         });
     None
 }
@@ -840,5 +874,40 @@ fn answer(
     match queue_wait_us {
         Some(us) => resp.with_header("x-cyclesql-queue-wait-us", us.to_string()),
         None => resp,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_unpaid_answer_closes_the_connection_and_frees_its_turn() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let conn = Arc::new(Conn {
+            stream,
+            turn: Mutex::default(),
+            turn_free: Condvar::new(),
+        });
+        let owed = conn.hand_off();
+        assert!(conn.in_flight());
+        drop(owed);
+        // Settle on another thread, so a turn left shut fails the test
+        // instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let settling = Arc::clone(&conn);
+        let settler = std::thread::spawn(move || tx.send(settling.settle()).unwrap());
+        let settled = rx.recv_timeout(Duration::from_secs(10));
+        assert_eq!(
+            settled,
+            Ok(None),
+            "the turn is free and the connection closed"
+        );
+        settler.join().unwrap();
+        // The socket was shut down: the client reads end of stream.
+        let mut byte = [0u8; 1];
+        assert_eq!((&client).read(&mut byte).unwrap(), 0);
     }
 }

@@ -22,7 +22,7 @@ use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::plan_cache::ResultCache;
 use crate::requests::{sql_digest, RequestLog, RequestSummary};
 use cyclesql_benchgen::BenchmarkItem;
-use cyclesql_core::{CachedRun, CycleSql, LoopVerifier, RunCache, RunControls, StageTimings};
+use cyclesql_core::{CachedRun, CycleSql, RunCache, RunControls, StageTimings};
 use cyclesql_explain::Explanation;
 use cyclesql_models::{PreparedGold, SimStats, SimulatedModel, TranslationRequest};
 use cyclesql_obs::{
@@ -439,22 +439,8 @@ impl ServiceEngine {
     /// under [`AdmissionPolicy::Shed`] a full queue fails fast with
     /// [`ServeError::Overloaded`].
     pub fn submit(&self, req: ServeRequest) -> Result<Ticket, ServeError> {
-        self.submit_under(req, None)
-    }
-
-    /// [`ServiceEngine::submit`] with an optional parent span owned by a
-    /// front tier: the request's `serve` span is opened as its child
-    /// instead of a trace root, so one trace covers wire handling and
-    /// pipeline work. When a parent is supplied, shed outcomes are *not*
-    /// given an engine-side span — the caller owns the root and records
-    /// the admission outcome there.
-    pub fn submit_under(
-        &self,
-        req: ServeRequest,
-        parent: Option<SharedSpan>,
-    ) -> Result<Ticket, ServeError> {
         let (ticket, done) = Ticket::pending();
-        if self.submit_with(req, parent, done) {
+        if self.submit_with(req, None, done) {
             return Ok(ticket);
         }
         Err(ticket
@@ -462,12 +448,16 @@ impl ServiceEngine {
             .expect_err("a refused request completes with an error"))
     }
 
-    /// [`ServiceEngine::submit_under`] with the outcome delivered to
-    /// `done` instead of a [`Ticket`]. `done` runs exactly once: on the
-    /// worker that served the request (after the pipeline returned or
-    /// panicked), or — when admission refuses the request (shed, shut
-    /// down) — on this thread before `submit_with` returns. Returns
-    /// whether the request was admitted.
+    /// [`ServiceEngine::submit`] with the outcome delivered to `done`
+    /// instead of a [`Ticket`], and an optional parent span owned by a
+    /// front tier. `done` runs exactly once: on the worker that served the
+    /// request (after the pipeline returned or panicked), or — when
+    /// admission refuses the request (shed, shut down) — on this thread
+    /// before `submit_with` returns. Returns whether the request was
+    /// admitted. With a parent, the request's `serve` span is opened as
+    /// its child instead of a trace root, so one trace covers wire
+    /// handling and pipeline work, and shed outcomes get no engine-side
+    /// span: the caller owns the root and records the outcome there.
     pub fn submit_with(
         &self,
         req: ServeRequest,
@@ -622,15 +612,13 @@ fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<Job>>) {
             Ok(job) => job,
             Err(_) => return,
         };
-        // A panic costs its request, not the worker: the request completes
-        // with a typed error and the worker takes the next job.
-        let result =
-            catch_unwind(AssertUnwindSafe(|| process(shared, &job))).unwrap_or_else(|_| {
-                shared.metrics.panics.fetch_add(1, Ordering::Relaxed);
-                Err(ServeError::Internal)
-            });
+        let result = process(shared, &job);
         shared.metrics.completed.fetch_add(1, Ordering::Relaxed);
-        (job.done)(result);
+        // A panicking completion (the wire encoding or writing the answer)
+        // costs that answer, not the worker.
+        if catch_unwind(AssertUnwindSafe(|| (job.done)(result))).is_err() {
+            shared.metrics.panics.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -687,16 +675,24 @@ fn process(shared: &Shared, job: &Job) -> Result<ServeResponse, ServeError> {
         root.set("queue_wait_us", queue_wait.as_micros() as u64);
     }
     let mut sim = SimStats::default();
-    let result = process_inner(
-        shared,
-        job,
-        &plans,
-        root.as_ref().map_or(SpanCtx::none(), SpanCtx::of),
-        root.is_some() && shared.analyze,
-        exec_threads,
-        &mut sim,
-    )
-    .map(|r| with_queue_wait(r, queue_wait));
+    // A panic costs its request, not the worker: it fails with a typed
+    // error, which is traced, logged and counted like any other.
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        process_inner(
+            shared,
+            job,
+            &plans,
+            root.as_ref().map_or(SpanCtx::none(), SpanCtx::of),
+            root.is_some() && shared.analyze,
+            exec_threads,
+            &mut sim,
+        )
+    }))
+    .unwrap_or_else(|_| {
+        shared.metrics.panics.fetch_add(1, Ordering::Relaxed);
+        Err(ServeError::Internal)
+    })
+    .map(|resp| ServeResponse { queue_wait, ..resp });
     if let Some(mut root) = root {
         root.set("candidates", sim.candidates);
         root.set("sim_attempts", sim.attempts);
@@ -811,12 +807,6 @@ fn record_outcome(
     }
 }
 
-/// Stamps the queue wait measured at dequeue onto a finished response.
-fn with_queue_wait(mut resp: ServeResponse, queue_wait: Duration) -> ServeResponse {
-    resp.queue_wait = queue_wait;
-    resp
-}
-
 /// Serves one request, leaving in `sim` what its beam drew.
 fn process_inner(
     shared: &Shared,
@@ -864,7 +854,7 @@ fn process_inner(
             run: plans.translate.run(db, &sql, &ast, &opts).0,
             ast: Arc::new(ast),
             sql,
-            source: Some(&plans.translate),
+            source: &plans.translate,
         }
     });
     // The loop pulls candidates from the beam as it examines them; only
@@ -874,17 +864,12 @@ fn process_inner(
     let translate = t.elapsed();
     drop(translate_span);
 
-    let gold_result = match &shared.cycle.verifier {
-        LoopVerifier::Oracle => gold
-            .as_ref()
-            .and_then(|g| g.run.as_deref())
-            .map(|run| &*run.result),
-        _ => None,
-    };
+    // Only the oracle verifier reads the gold's result.
+    let gold_result = gold.as_ref().and_then(|g| g.run.as_deref());
 
     let controls = RunControls {
         deadline: job.deadline,
-        cache: Some(&plans.execute),
+        cache: &plans.execute,
         span,
         analyze,
         exec_threads,
@@ -893,7 +878,7 @@ fn process_inner(
         item,
         db,
         top1.into_iter().chain(&mut beam),
-        gold_result,
+        gold_result.map(|run| &*run.result),
         &controls,
     );
     *sim = beam.stats();
@@ -944,6 +929,7 @@ fn process_inner(
 mod tests {
     use super::*;
     use cyclesql_benchgen::{build_spider_suite, SuiteConfig, Variant};
+    use cyclesql_core::LoopVerifier;
     use cyclesql_models::ModelProfile;
     use cyclesql_nli::{Verdict, Verifier, VerifyInput};
 
@@ -1395,6 +1381,8 @@ mod tests {
             )))),
             ServeConfig {
                 workers: 1,
+                request_log_capacity: 16,
+                window: Some(WindowConfig::default()),
                 ..ServeConfig::default()
             },
         );
@@ -1414,10 +1402,40 @@ mod tests {
             assert!(call(item).unwrap().accepted, "{}", item.id);
         }
         assert_eq!(call(&target).unwrap_err(), ServeError::Internal);
+        // Each panicked request is filed like any failed one: in the
+        // request log and as an error in the rolling window.
+        let internal: Vec<_> = engine
+            .recent_requests()
+            .into_iter()
+            .filter(|r| r.outcome == "internal")
+            .map(|r| r.item_id)
+            .collect();
+        assert_eq!(internal, [target.id.clone(), target.id.clone()]);
+        let total = &engine.telemetry_snapshot().expect("windows enabled")[0].1;
+        assert_eq!((total.count, total.errors), (others.len() as u64 + 2, 2));
         let snap = engine.shutdown();
         assert_eq!(snap.panics, 2);
         assert_eq!(snap.completed, others.len() as u64 + 2);
         assert_eq!(snap.admitted, snap.completed);
+    }
+
+    #[test]
+    fn a_panicking_completion_costs_its_answer_not_the_worker() {
+        let (engine, items) = oracle_engine(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        let request = |i: usize| ServeRequest {
+            item: Arc::clone(&items[i]),
+        };
+        assert!(engine.submit_with(request(0), None, |_| panic!("completion bug")));
+        // The one worker survived: it serves the next request. A dead
+        // worker would drop the completion, failing `recv`.
+        let (tx, rx) = std::sync::mpsc::channel();
+        engine.submit_with(request(1), None, move |r| tx.send(r).unwrap());
+        assert!(rx.recv().expect("the next request completed").is_ok());
+        let snap = engine.shutdown();
+        assert_eq!((snap.panics, snap.completed), (1, 2));
     }
 
     #[test]

@@ -145,8 +145,9 @@ pub struct Metrics {
     pub timeouts: AtomicU64,
     /// Requests naming a database the catalog does not serve.
     pub unknown_db: AtomicU64,
-    /// Requests whose pipeline panicked (completed with
-    /// `ServeError::Internal`; the worker survived).
+    /// Panics a worker caught and survived: in a request's pipeline (the
+    /// request completed with `ServeError::Internal`) or in the completion
+    /// that delivered its answer.
     pub panics: AtomicU64,
     /// Loop iterations whose verdict was "entails" (one per accepted
     /// request).
@@ -251,7 +252,7 @@ pub struct MetricsSnapshot {
     pub timeouts: u64,
     /// Requests for unserved databases.
     pub unknown_db: u64,
-    /// Requests whose pipeline panicked.
+    /// Panics caught in pipelines or completions.
     pub panics: u64,
     /// Result-cache hits.
     pub cache_hits: u64,

@@ -143,7 +143,7 @@ fn render_labeled(snapshots: &[(String, &MetricsSnapshot)]) -> String {
         ),
         (
             "cyclesql_serve_panics_total",
-            "Requests whose pipeline panicked, answered with an internal error.",
+            "Panics a worker survived: in a pipeline (answered with an internal error) or a completion.",
             |s| s.panics,
         ),
         (

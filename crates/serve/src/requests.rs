@@ -29,7 +29,8 @@ pub struct RequestSummary {
     pub item_id: String,
     /// Target database.
     pub db: String,
-    /// Outcome label: `ok`, `shed`, `deadline`, `unknown_db`, `shutdown`.
+    /// Outcome label: `ok`, `shed`, `deadline`, `unknown_db`, `shutdown`,
+    /// `internal`.
     pub outcome: &'static str,
     /// Whether the verifier accepted a candidate (false on errors).
     pub accepted: bool,

@@ -2,6 +2,7 @@
 //! diagnosis, where-provenance, verifier persistence, and the
 //! human-in-the-loop interactive variant.
 
+use cyclesql_benchgen::Split;
 use cyclesql_core::experiments::ExperimentContext;
 use cyclesql_core::{ex_correct, InteractiveCycleSql, SimulatedHuman};
 use cyclesql_models::{ModelProfile, SimulatedModel, TranslationRequest};
@@ -78,7 +79,7 @@ fn main() {
     let mut correct = 0usize;
     let mut escalations = 0usize;
     let items = &ctx.spider.dev;
-    for item in items {
+    for (idx, item) in items.iter().enumerate() {
         let db = ctx.spider.database(item);
         let req = TranslationRequest {
             item,
@@ -87,8 +88,12 @@ fn main() {
             severity: 0.0,
             science: false,
         };
-        let candidates = model.translate(&req);
-        let out = interactive.run(item, db, &candidates);
+        let gold = ctx
+            .spider
+            .prepared_item(Split::Dev, idx)
+            .gold_result
+            .as_deref();
+        let out = interactive.run(item, db, model.beam(&req, None), gold);
         correct += ex_correct(db, &out.chosen_sql, &item.gold_sql) as usize;
         escalations += out.escalations;
     }

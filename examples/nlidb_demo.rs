@@ -8,8 +8,6 @@ use cyclesql_core::ex_correct;
 use cyclesql_core::experiments::ExperimentContext;
 use cyclesql_explain::polish;
 use cyclesql_models::{ModelProfile, SimulatedModel, TranslationRequest};
-use cyclesql_sql::parse;
-use cyclesql_storage::execute;
 
 fn main() {
     eprintln!("building suites and training the verifier (quick config)...");
@@ -37,29 +35,28 @@ fn main() {
             severity: 0.0,
             science: false,
         };
-        let candidates = model.translate(&req);
-        let outcome = cycle.run(item, db, &candidates);
+        // The loop draws candidates from the model's beam as it examines
+        // them, and hands back the chosen candidate's result.
+        let outcome = cycle.run_prepared(item, db, model.beam(&req, None), None);
         println!("sql    > {}", outcome.chosen_sql);
-        if let Ok(q) = parse(&outcome.chosen_sql) {
-            if let Ok(result) = execute(db, &q) {
-                let preview: Vec<String> = result
-                    .rows
-                    .iter()
-                    .take(3)
-                    .map(|r| {
-                        r.iter()
-                            .map(|v| v.to_string())
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    })
-                    .collect();
-                println!(
-                    "answer > {} row(s): {}{}",
-                    result.len(),
-                    preview.join(" | "),
-                    if result.len() > 3 { " | …" } else { "" }
-                );
-            }
+        if let Some(result) = &outcome.chosen_result {
+            let preview: Vec<String> = result
+                .rows
+                .iter()
+                .take(3)
+                .map(|r| {
+                    r.iter()
+                        .map(|v| v.to_string())
+                        .collect::<Vec<_>>()
+                        .join(", ")
+                })
+                .collect();
+            println!(
+                "answer > {} row(s): {}{}",
+                result.len(),
+                preview.join(" | "),
+                if result.len() > 3 { " | …" } else { "" }
+            );
         }
         if let Some(e) = &outcome.explanation {
             println!("why    > {}", polish(&e.text));

@@ -80,8 +80,8 @@ fn candidate_lists_are_stable_and_sized() {
             severity: 0.0,
             science: false,
         };
-        let a = model.translate(&req);
-        let b = model.translate(&req);
+        let a: Vec<_> = model.beam(&req, None).collect();
+        let b: Vec<_> = model.beam(&req, None).collect();
         assert_eq!(a.len(), k);
         assert_eq!(
             a.iter().map(|c| c.sql.clone()).collect::<Vec<_>>(),
@@ -110,7 +110,7 @@ fn severity_never_raises_expected_top1() {
                 severity,
                 science: false,
             };
-            let cands = model.translate(&req);
+            let cands: Vec<_> = model.beam(&req, None).collect();
             assert_eq!(cands.len(), 5);
         }
     });
