@@ -1,17 +1,15 @@
 //! Throughput benchmark for the storage engine's execution paths.
 //!
 //! Runs every gold query of the generated Spider and Science suites through
-//! the retained tree-walking interpreter (`cyclesql_storage::reference`),
-//! the compiled row-at-a-time engine (`CompiledQuery::run_rowwise`), and the
-//! compiled columnar batch engine (`CompiledQuery::run`, the default path),
-//! and writes per-query-class throughput to `BENCH_storage.json`.
+//! the tree-walking reference interpreter (`cyclesql_storage::reference`)
+//! and the compiled columnar engine (`CompiledQuery::run`), and writes
+//! per-query-class throughput to `BENCH_storage.json`.
 //!
-//! The compiled paths are timed the way callers are expected to use them —
+//! The compiled engine is timed the way callers are expected to use it —
 //! compilation hoisted out of the hot loop, one run per iteration (lineage
-//! tracking enabled on every path, so the comparison is like-for-like).
-//! Compile cost is reported separately. `speedup` is the row engine over
-//! the reference interpreter; `columnar_speedup` is the columnar engine
-//! over the row engine, i.e. what vectorization itself buys.
+//! tracking enabled on both paths, so the comparison is like-for-like).
+//! Compile cost is reported separately. `speedup` is the columnar engine
+//! over the reference interpreter.
 //!
 //! `--threads N` additionally times the columnar engine with an N-wide
 //! morsel pool; `--threads sweep` times every width in {2, 4, 8}.
@@ -25,7 +23,7 @@
 //! overwriting: a run on fewer cores than the existing artifact was
 //! produced with refuses to clobber it unless `--force` is passed.
 //!
-//! Usage: `storage_bench [--iters N] [--out PATH] [--quick] [--engine row|columnar|reference|all] [--threads N|sweep] [--force]`
+//! Usage: `storage_bench [--iters N] [--out PATH] [--quick] [--engine columnar|reference|all] [--threads N|sweep] [--force]`
 
 use cyclesql_benchgen::{build_science_suite, build_spider_suite, Split, SuiteConfig, Variant};
 use cyclesql_sql::{parse, Expr, JoinType, Query, QueryBody};
@@ -118,7 +116,6 @@ fn has_subquery(q: &Query) -> bool {
 struct ClassAccum {
     queries: usize,
     reference_secs: f64,
-    row_secs: f64,
     columnar_secs: f64,
     /// Seconds per timed morsel-pool width (keyed by thread count).
     parallel_secs: BTreeMap<usize, f64>,
@@ -129,12 +126,9 @@ struct ClassReport {
     queries: usize,
     iters: usize,
     reference_qps: f64,
-    row_qps: f64,
     columnar_qps: f64,
-    /// Row engine vs the reference interpreter (compile-once win).
+    /// Columnar engine vs the reference interpreter.
     speedup: f64,
-    /// Columnar engine vs the row engine (vectorization win).
-    columnar_speedup: f64,
     /// Columnar throughput per timed morsel-pool width (key = threads).
     parallel_qps: BTreeMap<String, f64>,
     /// Single-threaded columnar vs the widest timed pool (the intra-query
@@ -145,8 +139,8 @@ struct ClassReport {
 
 cyclesql_obs::impl_to_json! {
     ClassReport {
-        queries, iters, reference_qps, row_qps, columnar_qps, speedup, columnar_speedup,
-        parallel_qps, parallel_speedup, compile_ms_total
+        queries, iters, reference_qps, columnar_qps, speedup, parallel_qps, parallel_speedup,
+        compile_ms_total
     }
 }
 
@@ -161,18 +155,15 @@ struct Report {
     host_threads: usize,
     classes: BTreeMap<String, ClassReport>,
     overall_reference_qps: f64,
-    overall_row_qps: f64,
     overall_columnar_qps: f64,
     overall_speedup: f64,
-    overall_columnar_speedup: f64,
     overall_parallel_speedup: Option<f64>,
 }
 
 cyclesql_obs::impl_to_json! {
     Report {
         suite_queries, iters_per_query, engines, threads, host_threads, classes,
-        overall_reference_qps, overall_row_qps, overall_columnar_qps, overall_speedup,
-        overall_columnar_speedup, overall_parallel_speedup
+        overall_reference_qps, overall_columnar_qps, overall_speedup, overall_parallel_speedup
     }
 }
 
@@ -203,7 +194,7 @@ fn main() {
     let mut iters: usize = 25;
     let mut out = String::from("BENCH_storage.json");
     let mut quick = false;
-    let mut engines: Vec<&'static str> = vec!["reference", "row", "columnar"];
+    let mut engines: Vec<&'static str> = vec!["reference", "columnar"];
     let mut thread_widths: Vec<usize> = Vec::new();
     let mut force = false;
     let mut args = std::env::args().skip(1);
@@ -223,13 +214,12 @@ fn main() {
                 thread_widths.retain(|&t| t > 1);
             }
             "--engine" => {
-                let v = args.next().expect("--engine row|columnar|reference|all");
+                let v = args.next().expect("--engine columnar|reference|all");
                 engines = match v.as_str() {
-                    "all" => vec!["reference", "row", "columnar"],
+                    "all" => vec!["reference", "columnar"],
                     "reference" => vec!["reference"],
-                    "row" => vec!["row"],
                     "columnar" => vec!["columnar"],
-                    other => panic!("unknown engine: {other} (want row|columnar|reference|all)"),
+                    other => panic!("unknown engine: {other} (want columnar|reference|all)"),
                 };
             }
             "--force" => force = true,
@@ -301,18 +291,14 @@ fn main() {
         let compiled = compile(db, q).expect("generated gold compiles");
         acc.compile_secs += t0.elapsed().as_secs_f64();
 
-        // Sanity: all three paths must agree before we time anything.
+        // Sanity: both paths must agree before we time anything.
         let ref_out = reference::execute_with_lineage(db, q).expect("reference executes");
-        for (engine, out) in [
-            ("row", compiled.run_rowwise(db).expect("row engine runs")),
-            ("columnar", compiled.run(db).expect("columnar engine runs")),
-        ] {
-            assert!(
-                ref_out.result.bag_eq(&out.result),
-                "{engine} diverges on: {}",
-                cyclesql_sql::to_sql(q)
-            );
-        }
+        let out = compiled.run(db).expect("columnar engine runs");
+        assert!(
+            ref_out.result.bag_eq(&out.result),
+            "columnar diverges on: {}",
+            cyclesql_sql::to_sql(q)
+        );
 
         if runs("reference") {
             let t0 = Instant::now();
@@ -320,14 +306,6 @@ fn main() {
                 std::hint::black_box(reference::execute_with_lineage(db, q).unwrap());
             }
             acc.reference_secs += t0.elapsed().as_secs_f64();
-        }
-
-        if runs("row") {
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                std::hint::black_box(compiled.run_rowwise(db).unwrap());
-            }
-            acc.row_secs += t0.elapsed().as_secs_f64();
         }
 
         if runs("columnar") {
@@ -361,12 +339,11 @@ fn main() {
     // The headline `parallel_speedup` compares against the widest pool.
     let widest = thread_widths.iter().copied().max();
     let mut classes = BTreeMap::new();
-    let (mut tot_q, mut tot_ref, mut tot_row, mut tot_col) = (0usize, 0.0f64, 0.0f64, 0.0f64);
+    let (mut tot_q, mut tot_ref, mut tot_col) = (0usize, 0.0f64, 0.0f64);
     let mut tot_par = 0.0f64;
     for (class, acc) in &accum {
         tot_q += acc.queries;
         tot_ref += acc.reference_secs;
-        tot_row += acc.row_secs;
         tot_col += acc.columnar_secs;
         let widest_secs = widest.map(|t| acc.parallel_secs[&t]);
         tot_par += widest_secs.unwrap_or(0.0);
@@ -376,10 +353,8 @@ fn main() {
                 queries: acc.queries,
                 iters,
                 reference_qps: qps(acc.queries, acc.reference_secs),
-                row_qps: qps(acc.queries, acc.row_secs),
                 columnar_qps: qps(acc.queries, acc.columnar_secs),
-                speedup: ratio(acc.reference_secs, acc.row_secs),
-                columnar_speedup: ratio(acc.row_secs, acc.columnar_secs),
+                speedup: ratio(acc.reference_secs, acc.columnar_secs),
                 parallel_qps: acc
                     .parallel_secs
                     .iter()
@@ -398,10 +373,8 @@ fn main() {
         host_threads,
         classes,
         overall_reference_qps: qps(tot_q, tot_ref),
-        overall_row_qps: qps(tot_q, tot_row),
         overall_columnar_qps: qps(tot_q, tot_col),
-        overall_speedup: ratio(tot_ref, tot_row),
-        overall_columnar_speedup: ratio(tot_row, tot_col),
+        overall_speedup: ratio(tot_ref, tot_col),
         overall_parallel_speedup: widest.map(|_| ratio(tot_col, tot_par)),
     };
     let json = cyclesql_obs::json::to_string_pretty(&report);

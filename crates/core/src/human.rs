@@ -17,6 +17,7 @@ use cyclesql_explain::generate_explanation;
 use cyclesql_models::PreparedCandidate;
 use cyclesql_nli::{Hypothesis, TrainedVerifier, Verifier, VerifyInput};
 use cyclesql_provenance::track_provenance;
+use cyclesql_rng::fnv1a;
 use cyclesql_storage::{Database, ResultSet};
 use std::borrow::Borrow;
 use std::sync::Arc;
@@ -41,7 +42,7 @@ pub struct SimulatedHuman {
 
 impl HumanJudge for SimulatedHuman {
     fn judge(&self, question: &str, explanation: &str, actually_correct: bool) -> bool {
-        let h = fxhash(question) ^ fxhash(explanation) ^ self.seed;
+        let h = fnv1a(question.as_bytes()) ^ fnv1a(explanation.as_bytes()) ^ self.seed;
         let roll = (h % 10_000) as f64 / 10_000.0;
         if roll < self.competence {
             actually_correct
@@ -148,15 +149,6 @@ impl<H: HumanJudge> InteractiveCycleSql<'_, H> {
             chosen_result,
         }
     }
-}
-
-fn fxhash(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -110,16 +110,24 @@ pub fn ts_correct(
     let gold_c = parse(gold_sql).ok().and_then(|q| compile(db, &q).ok());
     let pred_c = parse(pred_sql).ok().and_then(|q| compile(db, &q).ok());
     // EX gate: both must succeed and agree on the dev database.
-    let gold_dev = gold_c.as_ref().and_then(|c| c.run_result(db).ok());
-    let pred_dev = pred_c.as_ref().and_then(|c| c.run_result(db).ok());
+    let gold_dev = gold_c
+        .as_ref()
+        .and_then(|c| c.run(db).ok().map(|o| o.result));
+    let pred_dev = pred_c
+        .as_ref()
+        .and_then(|c| c.run(db).ok().map(|o| o.result));
     match (&pred_dev, &gold_dev) {
         (Some(p), Some(g)) if p.bag_eq(g) => {}
         _ => return false,
     }
     for seed in 1..=TS_VARIANTS {
         let ok = cache.with_variant(suite, db_name, seed, |variant| {
-            let p = pred_c.as_ref().and_then(|c| c.run_result(variant).ok());
-            let g = gold_c.as_ref().and_then(|c| c.run_result(variant).ok());
+            let p = pred_c
+                .as_ref()
+                .and_then(|c| c.run(variant).ok().map(|o| o.result));
+            let g = gold_c
+                .as_ref()
+                .and_then(|c| c.run(variant).ok().map(|o| o.result));
             match (p, g) {
                 (Some(p), Some(g)) => p.bag_eq(&g),
                 (None, None) => true,

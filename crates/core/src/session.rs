@@ -67,7 +67,7 @@ impl PreparedItem {
             .map(Arc::new);
         let gold_result = gold_compiled
             .as_deref()
-            .and_then(|c| c.run_result(db).ok())
+            .and_then(|c| c.run(db).ok().map(|o| o.result))
             .map(Arc::new);
         PreparedItem {
             gold_ast,
@@ -193,7 +193,7 @@ impl EvalSession {
                 Some(db) => VariantGoldState::Result(
                     prep.gold_compiled
                         .as_deref()
-                        .and_then(|c| c.run_result(&db).ok())
+                        .and_then(|c| c.run(&db).ok().map(|o| o.result))
                         .map(Arc::new),
                 ),
             }
@@ -239,7 +239,9 @@ impl EvalSession {
             let db = self
                 .variant_db(&item.db_name, seed)
                 .expect("variant exists when gold_on_variant returned Some");
-            let pred_v = pred_compiled.as_ref().and_then(|c| c.run_result(&db).ok());
+            let pred_v = pred_compiled
+                .as_ref()
+                .and_then(|c| c.run(&db).ok().map(|o| o.result));
             match (pred_v, gold_v) {
                 (Some(p), Some(g)) => {
                     if !p.bag_eq(&g) {

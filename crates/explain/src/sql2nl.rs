@@ -14,13 +14,9 @@ use crate::nlg::ExplanationFacets;
 /// quoting them. We model that by omitting roughly half of the literals,
 /// chosen by a stable hash of the condition.
 fn paraphrased_away(col: &str, value: &str) -> bool {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in col.bytes().chain(value.bytes()) {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h.is_multiple_of(2)
+    fnv1a_extend(fnv1a(col.as_bytes()), value.as_bytes()).is_multiple_of(2)
 }
+use cyclesql_rng::{fnv1a, fnv1a_extend};
 use cyclesql_sql::{AggFunc, BinOp, ClauseKind, Literal, Query, SetOp, SortOrder, UnitSemantics};
 use cyclesql_storage::Database;
 

@@ -15,7 +15,7 @@ use crate::error_ops::apply_random_error;
 use crate::profile::{ModelKind, ModelProfile};
 use cyclesql_benchgen::BenchmarkItem;
 use cyclesql_explain::{CachedRun, NoCache, RunCache};
-use cyclesql_rng::StdRng;
+use cyclesql_rng::{fnv1a, StdRng};
 use cyclesql_sql::{parse, to_sql, AggFunc, BinOp, Expr, FuncArg, Literal, Query, SelectItem};
 use cyclesql_storage::{execute, Database, ExecOpts, ResultSet};
 use std::sync::Arc;
@@ -165,8 +165,9 @@ impl SimulatedModel {
             Some(g) => Some(Arc::clone(&g.ast)),
             None => parse(&req.item.gold_sql).ok().map(Arc::new),
         };
-        let mut rng =
-            StdRng::seed_from_u64(fxhash(self.profile.name) ^ fxhash(&req.item.id) ^ 0x5117);
+        let mut rng = StdRng::seed_from_u64(
+            fnv1a(self.profile.name.as_bytes()) ^ fnv1a(req.item.id.as_bytes()) ^ 0x5117,
+        );
 
         // Effective top-1 correctness under perturbation / domain shift.
         let mut p1 = self.profile.top1_for(req.item.difficulty);
@@ -454,15 +455,6 @@ fn eq_to_in(e: &mut Expr) -> bool {
         Expr::Binary { left, right, .. } => eq_to_in(left) || eq_to_in(right),
         _ => false,
     }
-}
-
-fn fxhash(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 #[cfg(test)]

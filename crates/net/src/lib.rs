@@ -40,7 +40,8 @@ pub mod server;
 pub use api::{encode_error, encode_query, encode_response, ApiQuery};
 pub use client::{HttpClient, HttpResponse};
 pub use cyclesql_obs::Json;
+pub use cyclesql_rng::fnv1a;
 pub use http::{HttpError, HttpLimits, Request, RequestParser, Response};
 pub use metrics::{NetMetrics, NetMetricsSnapshot};
-pub use router::{fnv1a, RouteDecision, RouterConfig, ShardedEngine};
+pub use router::{RouteDecision, RouterConfig, ShardedEngine};
 pub use server::{DrainReport, NetConfig, NetObs, NetServer};

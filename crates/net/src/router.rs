@@ -15,6 +15,7 @@
 
 use cyclesql_benchgen::BenchmarkItem;
 use cyclesql_obs::{SharedSpan, WindowSnapshot};
+use cyclesql_rng::fnv1a;
 use cyclesql_serve::{
     Catalog, MetricsSnapshot, RequestSummary, ServeError, ServeRequest, ServeResponse,
     ServiceEngine, Ticket,
@@ -55,16 +56,6 @@ pub struct RouteDecision {
     pub shard: usize,
     /// Whether the primary was bypassed for a replica.
     pub spilled: bool,
-}
-
-/// 64-bit FNV-1a.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 struct ShardState {

@@ -5,6 +5,7 @@
 use crate::features::Hypothesis;
 use crate::model::NliModel;
 use cyclesql_explain::ExplanationFacets;
+use cyclesql_rng::fnv1a;
 
 /// Everything a verifier may read: the premise (explanation text + facets +
 /// SQL) and the hypothesis (the NL question). Gold data is *not* available.
@@ -94,7 +95,7 @@ impl Verifier for LlmStrawmanVerifier {
         let score_raw =
             0.45 * features[23] + 0.25 * features[0] + 0.20 * features[10] + 0.10 * features[21];
         // Deterministic "sampling noise" from the premise hash.
-        let h = fxhash(input.premise_text) ^ fxhash(input.question);
+        let h = fnv1a(input.premise_text.as_bytes()) ^ fnv1a(input.question.as_bytes());
         let noise = ((h >> 17) % 1000) as f64 / 1000.0 - 0.5;
         let score = ((score_raw + 1.0) / 2.0 + noise * 0.18).clamp(0.0, 1.0);
         Verdict {
@@ -128,7 +129,7 @@ impl Verifier for PrebuiltNliVerifier {
         let words = input.premise_text.split_whitespace().count() as f64;
         let length_penalty = (words / 60.0).min(1.0) * 0.5;
         let score = (((features[23] + 1.0) / 2.0) - length_penalty
-            + ((fxhash(input.question) % 100) as f64 / 100.0 - 0.5) * 0.3)
+            + ((fnv1a(input.question.as_bytes()) % 100) as f64 / 100.0 - 0.5) * 0.3)
             .clamp(0.0, 1.0);
         Verdict {
             entails: score >= 0.55,
@@ -157,15 +158,6 @@ impl Verifier for AlwaysAcceptVerifier {
     fn name(&self) -> &'static str {
         "always-accept"
     }
-}
-
-fn fxhash(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 #[cfg(test)]

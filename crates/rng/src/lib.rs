@@ -293,6 +293,25 @@ impl SplitMix64 {
     }
 }
 
+/// 64-bit FNV-1a of `bytes`: the workspace's one stable string hash.
+/// Simulator seeds, verifier noise, shard placement and SQL digests are
+/// all functions of it, so it must never change.
+#[inline]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an FNV-1a hash `h` over more `bytes`:
+/// `fnv1a_extend(fnv1a(a), b) == fnv1a(a ++ b)`.
+#[inline]
+pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     //! Known answers: the first outputs of each sampler, pinned so any
@@ -401,5 +420,13 @@ mod tests {
         let mut r = SplitMix64::new(0);
         assert_eq!(r.next_u64(), 0xE220_A839_7B1D_CDAF);
         assert_eq!(r.next_u64(), 0x6E78_9E6A_A1B9_65F4);
+    }
+
+    #[test]
+    fn fnv1a_matches_the_published_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a_extend(fnv1a(b"foo"), b"bar"), fnv1a(b"foobar"));
     }
 }

@@ -78,4 +78,4 @@ pub use prometheus::{
     render_all, render_metrics, render_metrics_sharded, render_observability, render_windows,
     render_windows_sharded,
 };
-pub use requests::{fnv1a_digest, sql_digest, RequestLog, RequestSummary, STAGE_NAMES};
+pub use requests::{sql_digest, RequestLog, RequestSummary, STAGE_NAMES};

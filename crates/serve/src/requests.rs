@@ -114,25 +114,15 @@ impl RequestLog {
     }
 }
 
-/// FNV-1a over a byte string — the same hash the front router uses for
-/// shard placement, reimplemented here so a summary's SQL digest is
-/// computable on either side of the wire.
-pub fn fnv1a_digest(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// Digest of a chosen SQL string for exemplars and request summaries
-/// (0 is reserved for "no SQL selected").
+/// (0 is reserved for "no SQL selected"): FNV-1a, the hash the front
+/// router places shards with, so the digest is computable on either side
+/// of the wire.
 pub fn sql_digest(sql: &str) -> u64 {
     if sql.is_empty() {
         0
     } else {
-        fnv1a_digest(sql.as_bytes()).max(1)
+        cyclesql_rng::fnv1a(sql.as_bytes()).max(1)
     }
 }
 

@@ -25,16 +25,17 @@
 //! every thread count. The first error in morsel-index order wins, so the
 //! error path is deterministic too.
 //!
-//! Parity contract: this engine is bit-identical to the row interpreter in
-//! [`crate::run`] on rows, lineage, profile counters, and errors. Profile
-//! counters accumulate per operator across morsels, so EXPLAIN ANALYZE
-//! output is independent of both the batch size and the thread count.
-//! Expression evaluation visits exactly the same (operator, row) sites as
-//! the row engine — including the IN-list short-circuit, which evaluates
-//! each list item only over still-unmatched rows — so an error is raised
-//! on the same inputs. On any error the caller falls back to the row
-//! interpreter, which reruns the query and supplies the authoritative
-//! (identical) message.
+//! Parity contract: this is the one production engine, and the reference
+//! interpreter ([`crate::reference`]) is its oracle — the differential and
+//! fuzz suites require identical rows, lineage, and error messages.
+//! Profile counters accumulate per operator across morsels, so EXPLAIN
+//! ANALYZE output is independent of both the batch size and the thread
+//! count. Evaluation is lazy wherever SQL is: an IN list evaluates each
+//! item only over still-unmatched rows, and CASE evaluates each WHEN only
+//! over rows no earlier branch matched and each THEN only over the rows
+//! its WHEN matched, so an expression that raises is reached on exactly
+//! the rows the oracle reaches it on. Errors are returned as raised; there
+//! is no second engine behind them.
 
 use crate::error::ExecError;
 use crate::exec::ExecOutput;
@@ -43,12 +44,12 @@ use crate::ir::{
 };
 use crate::plan::PlanStep;
 use crate::profile::{OpProfile, Prof};
-use crate::run::{apply_set_op, finish_run, materialize_ctes, COutRow, CteMat, ExecOpts, RunCtx};
+use crate::run::{finish_run, materialize_ctes, COutRow, CteMat, ExecOpts, RunCtx};
 use crate::scalar::{dedup_distinct, eval_binary, fold_agg};
 use crate::table::{ColumnarTable, Database};
 use crate::value::{KeyValue, Value};
 use cyclesql_obs::SpanCtx;
-use cyclesql_sql::AggFunc;
+use cyclesql_sql::{AggFunc, SetOp};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -59,15 +60,12 @@ use std::time::Instant;
 /// lineage entry.
 const NONE_ROW: u32 = u32::MAX;
 
-/// Runs `plan` through the columnar engine, falling back to the row
-/// interpreter on any error so messages, stats, and profiles are exactly
-/// the row engine's in the error case.
+/// Runs `plan`: its CTEs, its subquery prologue, then the body.
 ///
-/// Stats accumulate onto `*stats` (snapshot-on-entry, write-back on
-/// success), so the vectorized subquery prologue can nest columnar runs
-/// without wiping the counters the outer run already collected. `extra`
-/// carries enclosing-scope CTE materializations (for nested CTE bodies
-/// and hoisted subqueries); top-level callers pass `&[]`.
+/// Stats accumulate onto `*stats`, so nested runs (CTE bodies, prologue
+/// subqueries) add to the counters the outer run already collected.
+/// `extra` carries enclosing-scope CTE materializations (for nested CTE
+/// bodies and hoisted subqueries); top-level callers pass `&[]`.
 pub(crate) fn run_columnar(
     plan: &CompiledQuery,
     db: &Database,
@@ -76,44 +74,12 @@ pub(crate) fn run_columnar(
     opts: &ExecOpts<'_>,
     extra: &[&CteMat],
 ) -> Result<ExecOutput, ExecError> {
-    let mut c_stats = *stats;
-    let mut c_prof = if prof.enabled() {
-        Prof::On(Box::default())
-    } else {
-        Prof::Off
-    };
-    match run_columnar_inner(plan, db, &mut c_stats, &mut c_prof, opts, extra) {
-        Ok(out) => {
-            *stats = c_stats;
-            *prof = c_prof;
-            Ok(out)
-        }
-        // The columnar engine errors exactly when the row engine would
-        // (same evaluation sites), but possibly in a different order.
-        // Rerun row-wise against the caller's untouched stats/profile and
-        // let it pick the canonical first error.
-        Err(_) => plan.run_extra(db, stats, prof, extra),
-    }
-}
-
-fn run_columnar_inner(
-    plan: &CompiledQuery,
-    db: &Database,
-    stats: &mut RunStats,
-    prof: &mut Prof,
-    opts: &ExecOpts<'_>,
-    extra: &[&CteMat],
-) -> Result<ExecOutput, ExecError> {
     let batch_rows = opts.batch_rows.max(1);
-    let mats = materialize_ctes(plan, db, stats, prof, extra, Some(batch_rows))?;
+    let mats = materialize_ctes(plan, db, stats, prof, extra, batch_rows)?;
     let avail: Vec<&CteMat> = extra.iter().copied().chain(mats.iter()).collect();
-    let ctx = RunCtx::prepare(plan, db, stats, prof, Some(batch_rows), &avail)?;
-    if ctx.tables.iter().any(|t| t.len() >= NONE_ROW as usize) {
-        // Row ids are u32 with one sentinel; absurdly large tables take
-        // the row path via the fallback.
-        return Err(ExecError::new(
-            "internal: table too large for columnar row ids",
-        ));
+    let ctx = RunCtx::prepare(plan, db, stats, prof, batch_rows, &avail)?;
+    for table in &ctx.tables {
+        check_row_ids(&table.schema.name, table.len())?;
     }
     let cols: Vec<Arc<ColumnarTable>> = ctx.tables.iter().map(|t| t.columnar()).collect();
     let bx = BCtx {
@@ -125,6 +91,19 @@ fn run_columnar_inner(
     };
     let (columns, rows) = exec_cbody(&bx, &plan.body, prof, batch_rows)?;
     finish_run(plan, &columns, rows, prof, &avail)
+}
+
+/// Row ids are `u32` with [`NONE_ROW`] reserved for pads, so a table of
+/// `u32::MAX` rows or more cannot be addressed. The engine refuses it
+/// with an error naming the table rather than running it some other way.
+fn check_row_ids(table: &str, rows: usize) -> Result<(), ExecError> {
+    if rows >= NONE_ROW as usize {
+        return Err(ExecError::new(format!(
+            "table {table} has {rows} rows; the engine addresses at most {} rows per table",
+            NONE_ROW - 1
+        )));
+    }
+    Ok(())
 }
 
 /// Columnar run state: the shared per-run context plus each resolved
@@ -222,7 +201,8 @@ fn slot_val<'b>(
 }
 
 /// The interned lineage of one batch row: its non-pad side ids, in side
-/// (base, join₁, join₂, …) order — the same order the row engine pushes.
+/// (base, join₁, join₂, …) order — the same order the reference
+/// interpreter pushes.
 fn row_lineage(shape: &Shape, batch: &Batch, row: usize) -> Vec<SrcId> {
     let mut lin = Vec::with_capacity(batch.ids.len());
     for (side, meta) in batch.ids.iter().zip(&shape.sides) {
@@ -235,8 +215,8 @@ fn row_lineage(shape: &Shape, batch: &Batch, row: usize) -> Vec<SrcId> {
 }
 
 /// Per-operator counters accumulated across morsels; pushed as a single
-/// [`OpProfile`] after the merge so profiles match the row engine's
-/// whole-input totals regardless of batch size or thread count.
+/// [`OpProfile`] after the merge so profiles report whole-input totals
+/// regardless of batch size or thread count.
 #[derive(Default, Clone, Copy)]
 struct OpAcc {
     rows_in: usize,
@@ -274,7 +254,7 @@ fn exec_cbody(
         CBody::SetOp { op, left, right } => {
             let (columns, l) = exec_cbody(bx, left, prof, batch_rows)?;
             // Reserve the set-op marker between the branches, mirroring
-            // the row engine's (and describe's) operator order.
+            // describe's operator order.
             let marker = prof.enabled().then(|| {
                 prof.push_op(OpProfile {
                     step: PlanStep::SetOp {
@@ -309,6 +289,57 @@ fn exec_cbody(
             Ok((columns, merged))
         }
     }
+}
+
+/// Set-operation dedup on [`KeyValue`] row keys, computed once per row.
+fn apply_set_op(op: SetOp, l: Vec<COutRow>, r: Vec<COutRow>) -> Vec<COutRow> {
+    let key = |row: &COutRow| row_key(&row.values);
+    let mut out = Vec::new();
+    let mut seen: HashSet<Vec<KeyValue>> = HashSet::new();
+    match op {
+        SetOp::Union => {
+            for row in l.into_iter().chain(r) {
+                let k = key(&row);
+                if seen.insert(k) {
+                    out.push(row);
+                }
+            }
+        }
+        SetOp::Intersect => {
+            // First matching right row per key, for the lineage merge.
+            let mut right_first: HashMap<Vec<KeyValue>, usize> = HashMap::new();
+            for (i, row) in r.iter().enumerate() {
+                right_first.entry(key(row)).or_insert(i);
+            }
+            for mut row in l.into_iter() {
+                let k = key(&row);
+                if let Some(&first) = right_first.get(&k) {
+                    if seen.insert(k) {
+                        // Merge lineage from one matching right row so the
+                        // provenance spans both branches; ordered dedup via
+                        // a set rather than O(n²) scans.
+                        let mut present: HashSet<SrcId> = row.lineage.iter().copied().collect();
+                        for &src in &r[first].lineage {
+                            if present.insert(src) {
+                                row.lineage.push(src);
+                            }
+                        }
+                        out.push(row);
+                    }
+                }
+            }
+        }
+        SetOp::Except => {
+            let right_keys: HashSet<Vec<KeyValue>> = r.iter().map(key).collect();
+            for row in l.into_iter() {
+                let k = key(&row);
+                if !right_keys.contains(&k) && seen.insert(k) {
+                    out.push(row);
+                }
+            }
+        }
+    }
+    out
 }
 
 /// One morsel's completed pipeline output plus its operator counters.
@@ -362,7 +393,7 @@ fn exec_ccore(
 
     // Hash-join build sides are indexed once per run, on the calling
     // thread, and shared read-only by every morsel worker; NULL keys never
-    // enter the index (3VL), matching the row engine.
+    // enter the index (3VL), matching nested-loop `sql_eq`.
     let mut join_hash: Vec<Option<HashMap<KeyValue, Vec<u32>>>> = Vec::new();
     for (ji, join) in core.joins.iter().enumerate() {
         join_hash.push(match &join.strategy {
@@ -658,8 +689,7 @@ fn run_morsels(
             Some(Ok(morsel)) => out.push(morsel),
             Some(Err(e)) => return Err(e),
             // Unclaimed after an abort. Claim order makes this unreachable
-            // below the erroring index; stay defensive — any error here
-            // just routes through the row-engine fallback.
+            // below the erroring index; stay defensive all the same.
             None => return Err(ExecError::new("internal: morsel pool aborted")),
         }
     }
@@ -795,7 +825,7 @@ fn run_morsel(
             }
         }
         // Unmatched right rows append after every left-driven output, in
-        // right-row order — the canonical order all three engines share.
+        // right-row order, as in the reference interpreter.
         // All prior sides pad to NONE_ROW, so the pad row's slots read as
         // NULL and its lineage is the right row alone.
         if pad_r {
@@ -939,8 +969,8 @@ impl ECol<'_> {
 }
 
 /// Evaluates `e` over `sel` (or the whole batch when `None`), producing a
-/// column of `sel.len()` values. Visits exactly the evaluation sites the
-/// row engine's `ceval` visits for the same rows — see the module docs.
+/// column of `sel.len()` values. Visits exactly the evaluation sites a
+/// row-at-a-time walk would visit for the same rows — see the module docs.
 fn eval_col<'b>(
     e: &CExpr,
     bx: &'b BCtx<'_>,
@@ -960,11 +990,11 @@ fn eval_col<'b>(
         CExpr::Binary { op, left, right } => {
             let l = eval_col(left, bx, shape, batch, sel)?;
             let r = eval_col(right, bx, shape, batch, sel)?;
-            let mut out = Vec::with_capacity(n);
-            for k in 0..n {
-                out.push(eval_binary(*op, l.get(k), r.get(k))?);
-            }
-            Ok(ECol::Owned(out))
+            Ok(ECol::Owned(
+                (0..n)
+                    .map(|k| eval_binary(*op, l.get(k), r.get(k)))
+                    .collect(),
+            ))
         }
         CExpr::Not(inner) => {
             let v = eval_col(inner, bx, shape, batch, sel)?;
@@ -980,8 +1010,8 @@ fn eval_col<'b>(
             Ok(ECol::Owned(out))
         }
         CExpr::Agg { .. } => {
-            // The row engine only reaches this error when a row exists to
-            // evaluate; an empty selection must stay silent.
+            // The error needs a row to evaluate (as in the reference
+            // interpreter); an empty selection must stay silent.
             if n == 0 {
                 Ok(ECol::Owned(Vec::new()))
             } else {
@@ -1036,9 +1066,9 @@ fn eval_col<'b>(
             list,
             negated,
         } => {
-            // Preserve the row engine's per-row short-circuit exactly:
-            // each list item is evaluated only over rows no earlier item
-            // matched, so error reachability is identical.
+            // Per-row short-circuit: each list item is evaluated only over
+            // rows no earlier item matched, so error reachability matches a
+            // row-at-a-time walk.
             let needle = eval_col(expr, bx, shape, batch, sel)?;
             let mut out = vec![Value::Bool(*negated); n];
             let mut rem_pos: Vec<usize> = (0..n).collect();
@@ -1111,11 +1141,10 @@ fn eval_col<'b>(
             branches,
             else_,
         } => {
-            // Preserve the row engine's per-row lazy branch walk exactly
-            // (the IN-list narrowing idiom): each WHEN sees only rows no
-            // earlier branch matched, each THEN only the rows its WHEN
-            // matched, and ELSE only the rows nothing matched — so error
-            // reachability is identical.
+            // Lazy per-branch partitioning (the IN-list narrowing idiom):
+            // each WHEN sees only rows no earlier branch matched, each THEN
+            // only the rows its WHEN matched, and ELSE only the rows nothing
+            // matched — so error reachability matches a row-at-a-time walk.
             let opv = operand
                 .as_ref()
                 .map(|o| eval_col(o, bx, shape, batch, sel))
@@ -1167,7 +1196,7 @@ fn eval_col<'b>(
 
 /// Grouped evaluation over a group's row indices: aggregates fold over
 /// the group's column values; bare expressions take the first row
-/// (SQLite-style), mirroring the row engine's `ceval_in_group`.
+/// (SQLite-style).
 fn beval_group(
     e: &CExpr,
     bx: &BCtx<'_>,
@@ -1202,11 +1231,11 @@ fn beval_group(
                 Ok(fold_agg(*func, &values))
             }
         },
-        CExpr::Binary { op, left, right } => eval_binary(
+        CExpr::Binary { op, left, right } => Ok(eval_binary(
             *op,
             &beval_group(left, bx, shape, batch, rows)?,
             &beval_group(right, bx, shape, batch, rows)?,
-        ),
+        )),
         CExpr::Not(inner) => {
             let v = beval_group(inner, bx, shape, batch, rows)?;
             if v.is_null() {
@@ -1215,8 +1244,8 @@ fn beval_group(
                 Ok(Value::Bool(!v.is_truthy()))
             }
         }
-        // CASE over aggregates: every piece evaluates in group context,
-        // mirroring the row engine's `ceval_in_group`.
+        // CASE over aggregates: every piece evaluates in group context
+        // (so e.g. `CASE WHEN count(*) > 2 THEN …` folds per group).
         CExpr::Case {
             operand,
             branches,
@@ -1245,5 +1274,20 @@ fn beval_group(
             Some(&r0) => Ok(eval_col(e, bx, shape, batch, Some(&[r0]))?.get(0).clone()),
             None => Ok(Value::Null),
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn row_id_guard_names_the_table_and_its_rows() {
+        assert!(check_row_ids("city", (NONE_ROW - 1) as usize).is_ok());
+        let err = check_row_ids("city", NONE_ROW as usize).unwrap_err();
+        assert_eq!(
+            err.message(),
+            "table city has 4294967295 rows; the engine addresses at most 4294967294 rows per table"
+        );
     }
 }

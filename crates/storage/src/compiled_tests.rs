@@ -5,6 +5,7 @@
 
 use crate::compile::compile;
 use crate::reference;
+use crate::run::ExecOpts;
 use crate::schema::{ColumnDef, DataType, DatabaseSchema, TableSchema};
 use crate::table::Database;
 use crate::value::Value;
@@ -105,7 +106,7 @@ fn in_subquery_prologue_runs_exactly_once_per_run() {
     )
     .unwrap();
     let compiled = compile(&db, &q).unwrap();
-    let (out, stats) = compiled.run_with_stats(&db).unwrap();
+    let (out, stats) = compiled.run_opts(&db, &ExecOpts::default()).unwrap();
     assert_eq!(stats.subquery_runs, 1);
     assert_eq!(out.result.len(), 3); // flights on aircraft 1 and 3
 
@@ -113,7 +114,7 @@ fn in_subquery_prologue_runs_exactly_once_per_run() {
     // against a database with different data re-executes it.
     let mut other = flight_db();
     other.table_mut("aircraft").unwrap().rows.clear();
-    let (out2, stats2) = compiled.run_with_stats(&other).unwrap();
+    let (out2, stats2) = compiled.run_opts(&other, &ExecOpts::default()).unwrap();
     assert_eq!(stats2.subquery_runs, 1);
     assert!(out2.result.is_empty());
 }
@@ -126,7 +127,10 @@ fn exists_and_scalar_subqueries_also_hoist_once() {
         "SELECT flno FROM flight WHERE price > (SELECT avg(price) FROM flight)",
     ] {
         let q = parse(sql).unwrap();
-        let (_, stats) = compile(&db, &q).unwrap().run_with_stats(&db).unwrap();
+        let (_, stats) = compile(&db, &q)
+            .unwrap()
+            .run_opts(&db, &ExecOpts::default())
+            .unwrap();
         assert_eq!(stats.subquery_runs, 1, "for {sql}");
     }
 }
@@ -139,7 +143,10 @@ fn nested_subqueries_count_each_prologue() {
          (SELECT aid FROM aircraft WHERE distance > (SELECT avg(distance) FROM aircraft))",
     )
     .unwrap();
-    let (out, stats) = compile(&db, &q).unwrap().run_with_stats(&db).unwrap();
+    let (out, stats) = compile(&db, &q)
+        .unwrap()
+        .run_opts(&db, &ExecOpts::default())
+        .unwrap();
     // Outer IN prologue plus the scalar prologue nested inside it.
     assert_eq!(stats.subquery_runs, 2);
     assert_eq!(out.result.len(), 3);
@@ -251,7 +258,6 @@ fn differential_spot_checks() {
 
 #[test]
 fn morsel_pool_output_is_thread_count_invariant() {
-    use crate::run::ExecOpts;
     let db = flight_db();
     // One-row morsels make every operator cross a morsel boundary, and 8
     // workers over at most four morsels leaves some workers idle — the
@@ -295,11 +301,10 @@ fn morsel_pool_output_is_thread_count_invariant() {
 
 #[test]
 fn vectorized_prologue_keeps_subquery_run_counts() {
-    use crate::run::ExecOpts;
     let db = flight_db();
-    // The prologue now executes through the columnar kernels; the
-    // accumulate-on-success stats contract must still count each hoisted
-    // subquery exactly once, at any batch size or thread count.
+    // The prologue executes through the columnar kernels, whose stats
+    // accumulate across nested runs; each hoisted subquery must still
+    // count exactly once, at any batch size or thread count.
     let q = parse(
         "SELECT flno FROM flight WHERE aid IN \
          (SELECT aid FROM aircraft WHERE distance > (SELECT avg(distance) FROM aircraft))",

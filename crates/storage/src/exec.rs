@@ -49,7 +49,7 @@ pub struct ExecOutput {
 /// Returns [`ExecError`] for unknown tables/columns, arity mismatches in set
 /// operations, or unsupported constructs (correlated subqueries).
 pub fn execute(db: &Database, q: &Query) -> Result<ResultSet, ExecError> {
-    compile(db, q)?.run_result(db)
+    compile(db, q)?.run(db).map(|o| o.result)
 }
 
 /// Compiles and runs a query, tracking per-row lineage.

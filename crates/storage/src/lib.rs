@@ -5,6 +5,11 @@
 //! the Spider SQL subset — with per-row *lineage* tracking that the
 //! provenance layer builds on.
 //!
+//! Queries compile once ([`compile()`]) and run on one production engine,
+//! the vectorized columnar executor ([`CompiledQuery::run`]); the
+//! tree-walking [`reference`](mod@reference) interpreter is kept as its
+//! differential oracle.
+//!
 //! ```
 //! use cyclesql_storage::{Database, DatabaseSchema, TableSchema, ColumnDef, DataType, Value};
 //! use cyclesql_storage::exec::execute;

@@ -9,6 +9,7 @@ use crate::compile::compile;
 use crate::error::ExecError;
 use crate::ir::{CBody, CCore, CompiledQuery, JoinStrategy};
 use crate::profile::PlanProfile;
+use crate::run::ExecOpts;
 use crate::table::Database;
 use cyclesql_sql::Query;
 use std::fmt::Write as _;
@@ -117,7 +118,7 @@ pub fn describe_plan(db: &Database, query: &Query) -> QueryPlan {
 /// fails — the same failures [`crate::exec::execute`] surfaces.
 pub fn describe_plan_analyze(db: &Database, query: &Query) -> Result<PlanProfile, ExecError> {
     let compiled = compile(db, query)?;
-    let (_, profile) = compiled.run_analyzed(db)?;
+    let (_, profile) = compiled.run_opts_analyzed(db, &ExecOpts::default())?;
     Ok(profile)
 }
 

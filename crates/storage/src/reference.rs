@@ -326,7 +326,7 @@ fn exec_core(
     core: &SelectCore,
     order: &[cyclesql_sql::OrderItem],
 ) -> Result<BodyOutput, ExecError> {
-    let (env, mut work) = build_working_set(db, core)?;
+    let (env, mut work) = scan_and_join(db, core)?;
 
     if let Some(pred) = &core.where_clause {
         let mut kept = Vec::with_capacity(work.len());
@@ -415,10 +415,7 @@ fn exec_core(
     })
 }
 
-fn build_working_set(
-    db: &Database,
-    core: &SelectCore,
-) -> Result<(RefEnv, Vec<WorkRow>), ExecError> {
+fn scan_and_join(db: &Database, core: &SelectCore) -> Result<(RefEnv, Vec<WorkRow>), ExecError> {
     let mut env = RefEnv { cols: Vec::new() };
     let base_table = db
         .table(&core.from.base.name)
@@ -564,7 +561,7 @@ fn build_working_set(
             }
         }
         // Unmatched right rows append after every left-driven output, in
-        // right-row order — the canonical order all three engines share.
+        // right-row order — the canonical order both engines share.
         // The joined prefix pads to NULL and the lineage is the right row
         // alone.
         if pad_r {
@@ -966,9 +963,11 @@ fn eval(e: &Expr, env: &RefEnv, row: &WorkRow, db: &Database) -> Result<Value, E
     match e {
         Expr::Column(c) => Ok(row.values[env.lookup(c)?].clone()),
         Expr::Literal(l) => Ok(Value::from_literal(l)),
-        Expr::Binary { op, left, right } => {
-            eval_binary(*op, &eval(left, env, row, db)?, &eval(right, env, row, db)?)
-        }
+        Expr::Binary { op, left, right } => Ok(eval_binary(
+            *op,
+            &eval(left, env, row, db)?,
+            &eval(right, env, row, db)?,
+        )),
         Expr::Not(inner) => {
             let v = eval(inner, env, row, db)?;
             if v.is_null() {
@@ -1096,11 +1095,11 @@ fn eval_in_group(
             distinct,
             arg,
         } => eval_agg(*func, *distinct, arg, env, group, db),
-        Expr::Binary { op, left, right } => eval_binary(
+        Expr::Binary { op, left, right } => Ok(eval_binary(
             *op,
             &eval_in_group(left, env, group, db)?,
             &eval_in_group(right, env, group, db)?,
-        ),
+        )),
         Expr::Not(inner) => {
             let v = eval_in_group(inner, env, group, db)?;
             if v.is_null() {

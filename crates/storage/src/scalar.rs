@@ -6,7 +6,6 @@
 //! fixes to them) cannot diverge between the paths the differential tests
 //! compare.
 
-use crate::error::ExecError;
 use crate::value::Value;
 use cyclesql_sql::{AggFunc, BinOp, SortOrder};
 
@@ -17,11 +16,13 @@ use cyclesql_sql::{AggFunc, BinOp, SortOrder};
 /// falls back to the float path), because routing integer Add/Sub/Mul
 /// through `f64` silently rounds results beyond 2^53. Integer division
 /// truncates toward zero (SQLite semantics) and division by zero is NULL.
-pub(crate) fn eval_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value, ExecError> {
+/// The function is total: operands it cannot combine yield NULL, never an
+/// error.
+pub(crate) fn eval_binary(op: BinOp, l: &Value, r: &Value) -> Value {
     match op {
         BinOp::And => {
             // 3-valued AND.
-            Ok(match (l.is_null(), r.is_null()) {
+            match (l.is_null(), r.is_null()) {
                 (false, false) => Value::Bool(l.is_truthy() && r.is_truthy()),
                 _ => {
                     if (!l.is_null() && !l.is_truthy()) || (!r.is_null() && !r.is_truthy()) {
@@ -30,9 +31,9 @@ pub(crate) fn eval_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value, Exec
                         Value::Null
                     }
                 }
-            })
+            }
         }
-        BinOp::Or => Ok(match (l.is_null(), r.is_null()) {
+        BinOp::Or => match (l.is_null(), r.is_null()) {
             (false, false) => Value::Bool(l.is_truthy() || r.is_truthy()),
             _ => {
                 if (!l.is_null() && l.is_truthy()) || (!r.is_null() && r.is_truthy()) {
@@ -41,10 +42,10 @@ pub(crate) fn eval_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value, Exec
                     Value::Null
                 }
             }
-        }),
-        BinOp::Eq => Ok(l.sql_eq(r).map(Value::Bool).unwrap_or(Value::Null)),
-        BinOp::NotEq => Ok(l.sql_eq(r).map(|b| Value::Bool(!b)).unwrap_or(Value::Null)),
-        BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => Ok(match l.sql_cmp(r) {
+        },
+        BinOp::Eq => l.sql_eq(r).map(Value::Bool).unwrap_or(Value::Null),
+        BinOp::NotEq => l.sql_eq(r).map(|b| Value::Bool(!b)).unwrap_or(Value::Null),
+        BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => match l.sql_cmp(r) {
             None => Value::Null,
             Some(ord) => Value::Bool(match op {
                 BinOp::Lt => ord == std::cmp::Ordering::Less,
@@ -53,10 +54,10 @@ pub(crate) fn eval_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value, Exec
                 BinOp::GtEq => ord != std::cmp::Ordering::Less,
                 _ => unreachable!(),
             }),
-        }),
+        },
         BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
             if l.is_null() || r.is_null() {
-                return Ok(Value::Null);
+                return Value::Null;
             }
             if let (Value::Int(a), Value::Int(b)) = (l, r) {
                 let exact = match op {
@@ -65,19 +66,19 @@ pub(crate) fn eval_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value, Exec
                     BinOp::Mul => a.checked_mul(*b),
                     BinOp::Div => {
                         if *b == 0 {
-                            return Ok(Value::Null);
+                            return Value::Null;
                         }
                         a.checked_div(*b)
                     }
                     _ => unreachable!(),
                 };
                 if let Some(n) = exact {
-                    return Ok(Value::Int(n));
+                    return Value::Int(n);
                 }
             }
             let (a, b) = match (l.as_f64(), r.as_f64()) {
                 (Some(a), Some(b)) => (a, b),
-                _ => return Ok(Value::Null),
+                _ => return Value::Null,
             };
             let result = match op {
                 BinOp::Add => a + b,
@@ -85,7 +86,7 @@ pub(crate) fn eval_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value, Exec
                 BinOp::Mul => a * b,
                 BinOp::Div => {
                     if b == 0.0 {
-                        return Ok(Value::Null);
+                        return Value::Null;
                     }
                     a / b
                 }
@@ -93,12 +94,12 @@ pub(crate) fn eval_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value, Exec
             };
             let ints = matches!(l, Value::Int(_)) && matches!(r, Value::Int(_));
             if ints && result.fract() == 0.0 && op != BinOp::Div {
-                Ok(Value::Int(result as i64))
+                Value::Int(result as i64)
             } else if ints && op == BinOp::Div {
                 // SQLite integer division truncates.
-                Ok(Value::Int(result.trunc() as i64))
+                Value::Int(result.trunc() as i64)
             } else {
-                Ok(Value::Float(result))
+                Value::Float(result)
             }
         }
     }
@@ -205,56 +206,54 @@ mod tests {
         // round-trip lost the +1 below.
         let big = (1i64 << 53) + 1;
         assert_eq!(
-            eval_binary(BinOp::Add, &Value::Int(big), &Value::Int(0)).unwrap(),
+            eval_binary(BinOp::Add, &Value::Int(big), &Value::Int(0)),
             Value::Int(big)
         );
         assert_eq!(
-            eval_binary(BinOp::Add, &Value::Int(1i64 << 53), &Value::Int(1)).unwrap(),
+            eval_binary(BinOp::Add, &Value::Int(1i64 << 53), &Value::Int(1)),
             Value::Int(big)
         );
         assert_eq!(
-            eval_binary(BinOp::Sub, &Value::Int(big), &Value::Int(1)).unwrap(),
+            eval_binary(BinOp::Sub, &Value::Int(big), &Value::Int(1)),
             Value::Int(1i64 << 53)
         );
         assert_eq!(
-            eval_binary(BinOp::Mul, &Value::Int(big), &Value::Int(1)).unwrap(),
+            eval_binary(BinOp::Mul, &Value::Int(big), &Value::Int(1)),
             Value::Int(big)
         );
         // Strict equality on the representation, not sql_eq collapse.
-        let v = eval_binary(BinOp::Add, &Value::Int(big), &Value::Int(0)).unwrap();
+        let v = eval_binary(BinOp::Add, &Value::Int(big), &Value::Int(0));
         assert!(matches!(v, Value::Int(n) if n == big));
     }
 
     #[test]
     fn int_division_truncates_and_zero_is_null() {
         assert_eq!(
-            eval_binary(BinOp::Div, &Value::Int(7), &Value::Int(2)).unwrap(),
+            eval_binary(BinOp::Div, &Value::Int(7), &Value::Int(2)),
             Value::Int(3)
         );
         assert_eq!(
-            eval_binary(BinOp::Div, &Value::Int(-7), &Value::Int(2)).unwrap(),
+            eval_binary(BinOp::Div, &Value::Int(-7), &Value::Int(2)),
             Value::Int(-3)
         );
-        assert!(eval_binary(BinOp::Div, &Value::Int(7), &Value::Int(0))
-            .unwrap()
-            .is_null());
+        assert!(eval_binary(BinOp::Div, &Value::Int(7), &Value::Int(0)).is_null());
     }
 
     #[test]
     fn mixed_arithmetic_still_floats() {
         assert!(matches!(
-            eval_binary(BinOp::Add, &Value::Int(1), &Value::Float(0.5)).unwrap(),
+            eval_binary(BinOp::Add, &Value::Int(1), &Value::Float(0.5)),
             Value::Float(_)
         ));
         assert!(matches!(
-            eval_binary(BinOp::Add, &Value::Str("2".into()), &Value::Int(1)).unwrap(),
+            eval_binary(BinOp::Add, &Value::Str("2".into()), &Value::Int(1)),
             Value::Float(_)
         ));
     }
 
     #[test]
     fn int_overflow_falls_back_to_float() {
-        let v = eval_binary(BinOp::Add, &Value::Int(i64::MAX), &Value::Int(1)).unwrap();
+        let v = eval_binary(BinOp::Add, &Value::Int(i64::MAX), &Value::Int(1));
         assert!(matches!(v, Value::Int(_) | Value::Float(_)));
         // The fallback must not panic and must stay on the numeric rail.
         assert!(v.as_f64().is_some());

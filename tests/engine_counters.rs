@@ -1,22 +1,21 @@
-//! EXPLAIN ANALYZE counter parity between the row-at-a-time engine and the
-//! columnar batch engine, over the same four plan classes the golden test
-//! pins (join, group/aggregate, set operation, subquery prologue).
+//! EXPLAIN ANALYZE counter invariance for the columnar engine, over the
+//! four plan classes the golden test pins (join, group/aggregate, set
+//! operation, subquery prologue) plus nested-loop, CTE, CASE and outer-join
+//! plans.
 //!
-//! The columnar engine accumulates each operator's in/out/cmp/hash
-//! counters across chunks, so the profile must be *identical* to the row
-//! engine's — for every batch size, including degenerate one-row chunks
-//! and chunk sizes that split operators mid-stream. Engines are compared
-//! to each other (not to pinned constants), so the assertions hold on any
-//! generated database.
-//!
-//! The same invariance holds for the morsel pool: counters sum per
-//! operator across morsels in morsel-index order, so the profile is also
-//! *thread-count* invariant — every (batch size × worker count) cell of
-//! the sweep must render the identical timing-free profile.
+//! The engine accumulates each operator's in/out/cmp/hash counters across
+//! chunks, and sums them per operator across morsels in morsel-index
+//! order, so the timing-free profile must be *identical* at every batch
+//! size (including degenerate one-row chunks and sizes that split
+//! operators mid-stream) and every worker count. Each query's expected
+//! profile is pinned as a golden; the goldens were recorded from the
+//! row-at-a-time interpreter that preceded this engine, so they also pin
+//! the operator accounting it defined. Rows and lineage are compared to
+//! the reference interpreter: the profiled run is the real run.
 
 use cyclesql_benchgen::{build_spider_suite, SuiteConfig, Variant};
 use cyclesql_sql::parse;
-use cyclesql_storage::{compile, Database, ExecOpts};
+use cyclesql_storage::{compile, reference, Database, ExecOpts};
 
 /// Chunk sizes that exercise the interesting boundaries: one row per
 /// batch, sizes that split every operator mid-stream, and one larger than
@@ -42,80 +41,41 @@ fn world() -> Database {
         .expect("world_1 domain exists")
 }
 
-/// Asserts the columnar profile equals the row profile at every swept
-/// batch size: same operator steps, same in/out/cmp/hash counters, same
-/// prologue subquery measurements, and the same result.
-fn assert_counter_parity(db: &Database, sql: &str) {
+/// Asserts that every (batch size × worker count) cell renders exactly
+/// `golden` — same operator steps and order, same in/out/cmp/hash
+/// counters, same prologue measurements — and that each returns the
+/// reference interpreter's rows and lineage.
+fn assert_counter_parity(db: &Database, sql: &str, golden: &str) {
     let query = parse(sql).expect("query parses");
     let plan = compile(db, &query).expect("query compiles");
-    let (row_out, row_prof) = plan.run_rowwise_analyzed(db).expect("row engine runs");
-    let row_render = row_prof.render(false);
+    let expected = reference::execute_with_lineage(db, &query).expect("reference executes");
     for chunk in CHUNK_SWEEP {
-        let (col_out, col_prof) = plan
-            .run_batched_analyzed(db, chunk)
-            .expect("columnar engine runs");
         for threads in THREAD_SWEEP {
             let opts = ExecOpts {
                 batch_rows: chunk,
                 threads,
                 ..ExecOpts::default()
             };
-            let (_, par_prof) = plan
+            let (out, prof) = plan
                 .run_opts_analyzed(db, &opts)
-                .expect("parallel columnar engine runs");
+                .expect("columnar engine runs");
+            // The timing-free rendering covers step shapes, operator order,
+            // and every in/out/cmp/hash counter in one comparison.
             assert_eq!(
-                row_render,
-                par_prof.render(false),
+                prof.render(false),
+                golden,
                 "profile diverges at {threads} threads, batch size {chunk}: {sql}"
             );
-        }
-        // The timing-free rendering covers step shapes, operator order,
-        // and every in/out/cmp/hash counter in one comparison.
-        assert_eq!(
-            row_render,
-            col_prof.render(false),
-            "profile diverges at batch size {chunk}: {sql}"
-        );
-        assert_eq!(
-            row_prof.ops.len(),
-            col_prof.ops.len(),
-            "operator count diverges at batch size {chunk}: {sql}"
-        );
-        for (r, c) in row_prof.ops.iter().zip(&col_prof.ops) {
-            assert_eq!(r.rows_in, c.rows_in, "rows_in at batch size {chunk}: {sql}");
             assert_eq!(
-                r.rows_out, c.rows_out,
-                "rows_out at batch size {chunk}: {sql}"
+                format!("{:?}", expected.result.rows),
+                format!("{:?}", out.result.rows),
+                "rows diverge at {threads} threads, batch size {chunk}: {sql}"
             );
             assert_eq!(
-                r.comparisons, c.comparisons,
-                "comparisons at batch size {chunk}: {sql}"
-            );
-            assert_eq!(
-                r.hash_entries, c.hash_entries,
-                "hash_entries at batch size {chunk}: {sql}"
+                expected.lineage, out.lineage,
+                "lineage diverges at {threads} threads, batch size {chunk}: {sql}"
             );
         }
-        assert_eq!(
-            row_prof.prologue.len(),
-            col_prof.prologue.len(),
-            "prologue count at batch size {chunk}: {sql}"
-        );
-        for (r, c) in row_prof.prologue.iter().zip(&col_prof.prologue) {
-            assert_eq!(r.index, c.index, "prologue index: {sql}");
-            assert_eq!(r.kind, c.kind, "prologue kind: {sql}");
-            assert_eq!(r.rows, c.rows, "prologue rows: {sql}");
-        }
-        // The profiled run is the real run: results must match too.
-        assert_eq!(
-            format!("{:?}", row_out.result.rows),
-            format!("{:?}", col_out.result.rows),
-            "rows diverge at batch size {chunk}: {sql}"
-        );
-        assert_eq!(
-            row_out.lineage, col_out.lineage,
-            "lineage diverges at batch size {chunk}: {sql}"
-        );
     }
 }
 
@@ -126,6 +86,13 @@ fn join_counters_are_batch_size_invariant() {
         &db,
         "SELECT T1.name, T2.name FROM country AS T1 JOIN city AS T2 \
          ON T1.code = T2.countrycode ORDER BY T1.name LIMIT 5",
+        "\
+SCAN country (26 rows) | in=26 out=26
+HASH JOIN city (66 rows) ON t1.code = t2.countrycode | in=26 out=66 cmp=26 hash=66
+SORT (1 key(s)) | in=66 out=66
+LIMIT 5 | in=66 out=5
+RESULT 5 rows
+",
     );
 }
 
@@ -135,13 +102,27 @@ fn aggregate_counters_are_batch_size_invariant() {
     assert_counter_parity(
         &db,
         "SELECT continent, count(*) FROM country GROUP BY continent",
+        "\
+SCAN country (26 rows) | in=26 out=26
+AGGREGATE (1 group key(s)) | in=26 out=6
+RESULT 6 rows
+",
     );
 }
 
 #[test]
 fn set_op_counters_are_batch_size_invariant() {
     let db = world();
-    assert_counter_parity(&db, "SELECT name FROM country UNION SELECT name FROM city");
+    assert_counter_parity(
+        &db,
+        "SELECT name FROM country UNION SELECT name FROM city",
+        "\
+SCAN country (26 rows) | in=26 out=26
+SET UNION | in=92 out=92
+SCAN city (66 rows) | in=66 out=66
+RESULT 92 rows
+",
+    );
 }
 
 #[test]
@@ -150,6 +131,12 @@ fn subquery_prologue_counters_are_batch_size_invariant() {
     assert_counter_parity(
         &db,
         "SELECT name FROM country WHERE code IN (SELECT countrycode FROM city)",
+        "\
+PROLOGUE SUBQUERY 0 [in-set] -> 66 rows
+SCAN country (26 rows) | in=26 out=26
+FILTER code IN (SELECT countrycode FROM city) | in=26 out=25 cmp=26
+RESULT 25 rows
+",
     );
 }
 
@@ -162,6 +149,13 @@ fn nested_loop_and_distinct_counters_are_batch_size_invariant() {
         &db,
         "SELECT DISTINCT T1.continent FROM country AS T1 JOIN city AS T2 \
          ON T1.population > T2.population WHERE T2.population > 1000000",
+        "\
+SCAN country (26 rows) | in=26 out=26
+NESTED LOOP JOIN city (66 rows) ON t1.population > t2.population | in=26 out=1596 cmp=1716
+FILTER t2.population > 1000000 | in=1596 out=1570 cmp=1596
+DISTINCT | in=1570 out=6
+RESULT 6 rows
+",
     );
 }
 
@@ -172,6 +166,12 @@ fn cte_counters_are_batch_size_invariant() {
         &db,
         "WITH big AS (SELECT code, name FROM country WHERE population > 1000000) \
          SELECT count(*) FROM big",
+        "\
+PROLOGUE SUBQUERY 0 [cte] -> 26 rows
+SCAN big (26 rows) | in=26 out=26
+AGGREGATE (0 group key(s)) | in=26 out=1
+RESULT 1 rows
+",
     );
 }
 
@@ -182,6 +182,12 @@ fn case_counters_are_batch_size_invariant() {
         &db,
         "SELECT name, CASE WHEN population > 1000000 THEN 'big' ELSE 'small' END \
          FROM country ORDER BY name LIMIT 5",
+        "\
+SCAN country (26 rows) | in=26 out=26
+SORT (1 key(s)) | in=26 out=26
+LIMIT 5 | in=26 out=5
+RESULT 5 rows
+",
     );
 }
 
@@ -192,5 +198,12 @@ fn outer_join_counters_are_batch_size_invariant() {
         &db,
         "SELECT T1.name, T2.name FROM country AS T1 FULL OUTER JOIN city AS T2 \
          ON T1.code = T2.countrycode ORDER BY T1.name, T2.name LIMIT 10",
+        "\
+SCAN country (26 rows) | in=26 out=26
+HASH JOIN city (66 rows) ON t1.code = t2.countrycode | in=26 out=67 cmp=26 hash=66
+SORT (2 key(s)) | in=67 out=67
+LIMIT 10 | in=67 out=10
+RESULT 10 rows
+",
     );
 }

@@ -8,10 +8,10 @@
 //!    printer must emit SQL the parser accepts, and re-printing the
 //!    reparse must be byte-identical (printer and parser agree on one
 //!    canonical surface form).
-//! 2. **Differential execution**: the reference tree-walking interpreter,
-//!    the compiled row engine, and the compiled columnar engine (across a
-//!    thread × batch sweep) produce identical rows, columns, and lineage —
-//!    or fail with the identical error message.
+//! 2. **Differential execution**: the reference tree-walking interpreter
+//!    and the compiled columnar engine (across a thread × batch sweep)
+//!    produce identical rows, columns, and lineage — or fail with the
+//!    identical error message.
 //!
 //! The generator is the workspace's splitmix64
 //! (`cyclesql_rng::SplitMix64`), so every case is reproducible from
@@ -41,7 +41,7 @@ use cyclesql_storage::{compile, reference, Database, ExecError, ExecOpts, ExecOu
 const DEFAULT_SEED: u64 = 0xC1C1_E50F;
 
 /// Thread × batch cells the differential check sweeps, beyond the default
-/// single-threaded row and columnar paths.
+/// single-threaded columnar run.
 const SWEEP: [(usize, usize); 4] = [(1, 1), (1, 1024), (4, 1), (4, 1024)];
 
 // ---------------------------------------------------------------------------
@@ -577,7 +577,7 @@ fn check(db: &Database, q: &Query) -> Result<(), String> {
         ));
     }
 
-    // Property 2: every engine agrees with the reference interpreter.
+    // Property 2: the columnar engine agrees with the reference interpreter.
     let reference = reference::execute_with_lineage(db, &q2);
     match compile(db, &q2) {
         Err(e) => match &reference {
@@ -588,7 +588,6 @@ fn check(db: &Database, q: &Query) -> Result<(), String> {
             Ok(_) => Err(format!("compile failed but reference succeeded: {e}")),
         },
         Ok(plan) => {
-            matches_reference(&reference, &plan.run_rowwise(db), "row")?;
             matches_reference(&reference, &plan.run(db), "columnar")?;
             for (threads, batch_rows) in SWEEP {
                 let got = plan
