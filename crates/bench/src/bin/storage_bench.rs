@@ -11,6 +11,13 @@
 //! Compile cost is reported separately. `speedup` is the columnar engine
 //! over the reference interpreter.
 //!
+//! Per-class throughput swings by tens of percent between runs on a
+//! shared host, so the whole timed sweep repeats [`REPS`] times (each
+//! repetition times every query once more, so host noise lands on whole
+//! repetitions). Every throughput figure is the median over the
+//! repetitions, and each `*_qps_iqr` field is the interquartile range of
+//! that figure.
+//!
 //! `--threads N` additionally times the columnar engine with an N-wide
 //! morsel pool; `--threads sweep` times every width in {2, 4, 8}.
 //! `parallel_speedup` is single-threaded columnar over the widest timed
@@ -30,6 +37,9 @@ use cyclesql_sql::{parse, Expr, JoinType, Query, QueryBody};
 use cyclesql_storage::{compile, reference, Database, ExecOpts};
 use std::collections::BTreeMap;
 use std::time::Instant;
+
+/// Repetitions of the timed sweep; the report gives their median and IQR.
+const REPS: usize = 5;
 
 /// Query classes, coarsest structural feature first: a CTE prologue
 /// trumps a set operation trumps a subquery trumps a CASE mapping trumps
@@ -112,13 +122,29 @@ fn has_subquery(q: &Query) -> bool {
     })
 }
 
+/// Timed seconds of one query class (or of the whole workload), one slot
+/// per repetition.
+struct Secs {
+    reference: [f64; REPS],
+    columnar: [f64; REPS],
+    /// Per timed morsel-pool width (keyed by thread count).
+    parallel: BTreeMap<usize, [f64; REPS]>,
+}
+
+impl Default for Secs {
+    fn default() -> Self {
+        Secs {
+            reference: [0.0; REPS],
+            columnar: [0.0; REPS],
+            parallel: BTreeMap::new(),
+        }
+    }
+}
+
 #[derive(Default)]
 struct ClassAccum {
     queries: usize,
-    reference_secs: f64,
-    columnar_secs: f64,
-    /// Seconds per timed morsel-pool width (keyed by thread count).
-    parallel_secs: BTreeMap<usize, f64>,
+    secs: Secs,
     compile_secs: f64,
 }
 
@@ -126,7 +152,9 @@ struct ClassReport {
     queries: usize,
     iters: usize,
     reference_qps: f64,
+    reference_qps_iqr: f64,
     columnar_qps: f64,
+    columnar_qps_iqr: f64,
     /// Columnar engine vs the reference interpreter.
     speedup: f64,
     /// Columnar throughput per timed morsel-pool width (key = threads).
@@ -139,14 +167,29 @@ struct ClassReport {
 
 cyclesql_obs::impl_to_json! {
     ClassReport {
-        queries, iters, reference_qps, columnar_qps, speedup, parallel_qps, parallel_speedup,
-        compile_ms_total
+        queries, iters, reference_qps, reference_qps_iqr, columnar_qps, columnar_qps_iqr, speedup,
+        parallel_qps, parallel_speedup, compile_ms_total
     }
+}
+
+/// Median and interquartile range of per-repetition throughputs
+/// (`work / secs`), interpolating between order statistics.
+fn median_iqr(work: usize, secs: &[f64; REPS]) -> (f64, f64) {
+    let mut qps = secs.map(|s| if s > 0.0 { work as f64 / s } else { 0.0 });
+    qps.sort_by(f64::total_cmp);
+    let at = |p: f64| {
+        let pos = p * (REPS - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        qps[lo] + (qps[hi] - qps[lo]) * (pos - lo as f64)
+    };
+    (at(0.5), at(0.75) - at(0.25))
 }
 
 struct Report {
     suite_queries: usize,
     iters_per_query: usize,
+    /// Repetitions of the timed sweep behind each median and IQR.
+    reps: usize,
     engines: Vec<String>,
     /// Morsel-pool widths timed by `--threads` (empty without the flag).
     threads: Vec<usize>,
@@ -155,15 +198,18 @@ struct Report {
     host_threads: usize,
     classes: BTreeMap<String, ClassReport>,
     overall_reference_qps: f64,
+    overall_reference_qps_iqr: f64,
     overall_columnar_qps: f64,
+    overall_columnar_qps_iqr: f64,
     overall_speedup: f64,
     overall_parallel_speedup: Option<f64>,
 }
 
 cyclesql_obs::impl_to_json! {
     Report {
-        suite_queries, iters_per_query, engines, threads, host_threads, classes,
-        overall_reference_qps, overall_columnar_qps, overall_speedup, overall_parallel_speedup
+        suite_queries, iters_per_query, reps, engines, threads, host_threads, classes,
+        overall_reference_qps, overall_reference_qps_iqr, overall_columnar_qps,
+        overall_columnar_qps_iqr, overall_speedup, overall_parallel_speedup
     }
 }
 
@@ -283,6 +329,7 @@ fn main() {
 
     let runs = |e: &str| engines.contains(&e);
     let mut accum: BTreeMap<&'static str, ClassAccum> = BTreeMap::new();
+    let mut plans = Vec::with_capacity(workload.len());
     for (class, db, q) in &workload {
         let acc = accum.entry(class).or_default();
         acc.queries += 1;
@@ -299,83 +346,103 @@ fn main() {
             "columnar diverges on: {}",
             cyclesql_sql::to_sql(q)
         );
+        plans.push(compiled);
+    }
 
-        if runs("reference") {
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                std::hint::black_box(reference::execute_with_lineage(db, q).unwrap());
+    let mut total = Secs::default();
+    for rep in 0..REPS {
+        for ((class, db, q), compiled) in workload.iter().zip(&plans) {
+            let secs = &mut accum.get_mut(class).expect("class seen").secs;
+            if runs("reference") {
+                let t0 = Instant::now();
+                for _ in 0..iters {
+                    std::hint::black_box(reference::execute_with_lineage(db, q).unwrap());
+                }
+                secs.reference[rep] += t0.elapsed().as_secs_f64();
             }
-            acc.reference_secs += t0.elapsed().as_secs_f64();
+
+            if runs("columnar") {
+                let t0 = Instant::now();
+                for _ in 0..iters {
+                    std::hint::black_box(compiled.run(db).unwrap());
+                }
+                secs.columnar[rep] += t0.elapsed().as_secs_f64();
+            }
+
+            for &threads in &thread_widths {
+                let opts = ExecOpts {
+                    threads,
+                    ..ExecOpts::default()
+                };
+                let t0 = Instant::now();
+                for _ in 0..iters {
+                    std::hint::black_box(compiled.run_opts(db, &opts).unwrap());
+                }
+                secs.parallel.entry(threads).or_insert([0.0; REPS])[rep] +=
+                    t0.elapsed().as_secs_f64();
+            }
         }
-
-        if runs("columnar") {
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                std::hint::black_box(compiled.run(db).unwrap());
+    }
+    for acc in accum.values() {
+        for rep in 0..REPS {
+            total.reference[rep] += acc.secs.reference[rep];
+            total.columnar[rep] += acc.secs.columnar[rep];
+            for (&t, secs) in &acc.secs.parallel {
+                total.parallel.entry(t).or_insert([0.0; REPS])[rep] += secs[rep];
             }
-            acc.columnar_secs += t0.elapsed().as_secs_f64();
-        }
-
-        for &threads in &thread_widths {
-            let opts = ExecOpts {
-                threads,
-                ..ExecOpts::default()
-            };
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                std::hint::black_box(compiled.run_opts(db, &opts).unwrap());
-            }
-            *acc.parallel_secs.entry(threads).or_default() += t0.elapsed().as_secs_f64();
         }
     }
 
-    let qps = |queries: usize, secs: f64| {
-        if secs > 0.0 {
-            (queries * iters) as f64 / secs
-        } else {
-            0.0
-        }
-    };
     // The headline `parallel_speedup` compares against the widest pool.
     let widest = thread_widths.iter().copied().max();
-    let mut classes = BTreeMap::new();
-    let (mut tot_q, mut tot_ref, mut tot_col) = (0usize, 0.0f64, 0.0f64);
-    let mut tot_par = 0.0f64;
-    for (class, acc) in &accum {
-        tot_q += acc.queries;
-        tot_ref += acc.reference_secs;
-        tot_col += acc.columnar_secs;
-        let widest_secs = widest.map(|t| acc.parallel_secs[&t]);
-        tot_par += widest_secs.unwrap_or(0.0);
-        classes.insert(
-            class.to_string(),
-            ClassReport {
-                queries: acc.queries,
-                iters,
-                reference_qps: qps(acc.queries, acc.reference_secs),
-                columnar_qps: qps(acc.queries, acc.columnar_secs),
-                speedup: ratio(acc.reference_secs, acc.columnar_secs),
-                parallel_qps: acc
-                    .parallel_secs
-                    .iter()
-                    .map(|(&t, &secs)| (t.to_string(), qps(acc.queries, secs)))
-                    .collect(),
-                parallel_speedup: widest_secs.map(|secs| ratio(acc.columnar_secs, secs)),
-                compile_ms_total: acc.compile_secs * 1e3,
-            },
-        );
-    }
+    let summarize = |queries: usize, secs: &Secs, compile_secs: f64| {
+        let work = queries * iters;
+        let (reference_qps, reference_qps_iqr) = median_iqr(work, &secs.reference);
+        let (columnar_qps, columnar_qps_iqr) = median_iqr(work, &secs.columnar);
+        let parallel_qps: BTreeMap<usize, f64> = secs
+            .parallel
+            .iter()
+            .map(|(&t, s)| (t, median_iqr(work, s).0))
+            .collect();
+        let parallel_speedup = widest.map(|t| ratio(parallel_qps[&t], columnar_qps));
+        ClassReport {
+            queries,
+            iters,
+            reference_qps,
+            reference_qps_iqr,
+            columnar_qps,
+            columnar_qps_iqr,
+            speedup: ratio(columnar_qps, reference_qps),
+            parallel_qps: parallel_qps
+                .into_iter()
+                .map(|(t, qps)| (t.to_string(), qps))
+                .collect(),
+            parallel_speedup,
+            compile_ms_total: compile_secs * 1e3,
+        }
+    };
+    let classes: BTreeMap<String, ClassReport> = accum
+        .iter()
+        .map(|(class, acc)| {
+            let report = summarize(acc.queries, &acc.secs, acc.compile_secs);
+            (class.to_string(), report)
+        })
+        .collect();
+    let overall = summarize(workload.len(), &total, 0.0);
     let report = Report {
-        suite_queries: tot_q,
+        suite_queries: workload.len(),
         iters_per_query: iters,
+        reps: REPS,
         engines: engines.iter().map(|e| e.to_string()).collect(),
         threads: thread_widths.clone(),
         host_threads,
         classes,
-        overall_reference_qps: qps(tot_q, tot_ref),
-        overall_columnar_qps: qps(tot_q, tot_col),
-        overall_speedup: ratio(tot_ref, tot_col),
-        overall_parallel_speedup: widest.map(|_| ratio(tot_col, tot_par)),
+        overall_reference_qps: overall.reference_qps,
+        overall_reference_qps_iqr: overall.reference_qps_iqr,
+        overall_columnar_qps: overall.columnar_qps,
+        overall_columnar_qps_iqr: overall.columnar_qps_iqr,
+        overall_speedup: overall.speedup,
+        overall_parallel_speedup: overall.parallel_speedup,
     };
     let json = cyclesql_obs::json::to_string_pretty(&report);
     std::fs::write(&out, &json).expect("write report");

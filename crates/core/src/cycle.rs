@@ -1,6 +1,11 @@
 //! The CycleSQL feedback loop (Figure 3): iterate over a model's ranked
 //! candidates, explain each candidate's result from tracked provenance, and
 //! accept the first candidate whose explanation entails the NL question.
+//!
+//! Who takes that last decision is an [`AcceptPolicy`]: by default the
+//! verifier's verdict stands ([`TakeVerdict`]); the human-in-the-loop
+//! variant ([`crate::human::HumanPolicy`]) escalates uncertain verdicts to a
+//! human reading the same explanation.
 
 use cyclesql_benchgen::BenchmarkItem;
 use cyclesql_explain::{
@@ -10,7 +15,7 @@ use cyclesql_explain::{
 use cyclesql_models::{Candidate, PreparedCandidate};
 use cyclesql_nli::{
     AlwaysAcceptVerifier, Hypothesis, LlmStrawmanVerifier, PrebuiltNliVerifier, TrainedVerifier,
-    Verifier, VerifyInput,
+    Verdict, Verifier, VerifyInput,
 };
 use cyclesql_obs::{Span, SpanCtx};
 use cyclesql_provenance::{track_provenance, Provenance, ProvenanceTable};
@@ -67,12 +72,50 @@ impl LoopVerifier {
     }
 }
 
+/// The loop's accept decision: once the verifier has judged a candidate's
+/// explanation, the policy decides whether the loop accepts the candidate.
+/// The oracle verifier decides by execution and never consults it.
+pub trait AcceptPolicy: Send + Sync {
+    /// Whether to accept the candidate. `explanation` is the text the
+    /// verifier read, `result` the candidate's result, and `gold` the gold
+    /// result the caller handed the loop (`None` when it has none).
+    fn accept(
+        &self,
+        question: &str,
+        explanation: &str,
+        verdict: Verdict,
+        result: &ResultSet,
+        gold: Option<&ResultSet>,
+    ) -> bool;
+}
+
+/// The default policy: the verifier's verdict stands.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TakeVerdict;
+
+impl AcceptPolicy for TakeVerdict {
+    fn accept(
+        &self,
+        _: &str,
+        _: &str,
+        verdict: Verdict,
+        _: &ResultSet,
+        _: Option<&ResultSet>,
+    ) -> bool {
+        verdict.entails
+    }
+}
+
 /// The CycleSQL framework instance.
 pub struct CycleSql {
     /// The plugged-in verifier.
     pub verifier: LoopVerifier,
     /// Which feedback channel to generate.
     pub feedback: FeedbackKind,
+    /// Who accepts a verified candidate ([`TakeVerdict`] from
+    /// [`CycleSql::new`]). A caller that reads the policy's own state
+    /// afterwards, such as an escalation tally, keeps a clone of the `Arc`.
+    pub policy: Arc<dyn AcceptPolicy>,
 }
 
 /// Wall-clock spent in each pipeline stage of one loop run, summed over
@@ -188,11 +231,13 @@ pub struct LoopOutcome {
 }
 
 impl CycleSql {
-    /// Builds a loop with the given verifier and data-grounded feedback.
+    /// Builds a loop with the given verifier, data-grounded feedback and
+    /// the [`TakeVerdict`] policy.
     pub fn new(verifier: LoopVerifier) -> Self {
         CycleSql {
             verifier,
             feedback: FeedbackKind::DataGrounded,
+            policy: Arc::new(TakeVerdict),
         }
     }
 
@@ -260,6 +305,10 @@ impl CycleSql {
     /// traced, shows as a `translate` child of that candidate's `cycle`
     /// span.
     ///
+    /// After each NLI verdict the loop's [`AcceptPolicy`] decides whether
+    /// to accept the candidate; the `cycle` span's `entails` records that
+    /// decision and the `verify` span's the verdict.
+    ///
     /// With default controls this is exactly [`CycleSql::run_prepared`].
     pub fn run_controlled<C: Borrow<PreparedCandidate>>(
         &self,
@@ -306,8 +355,7 @@ impl CycleSql {
                     }
                 }
             };
-            let iteration = i + 1;
-            examined = iteration;
+            examined = i + 1;
             // A pulled candidate's cycle span starts when its draw did.
             let mut cand_span = controls.span.child_from("cycle", drawn_at);
             if i > 0 {
@@ -451,11 +499,8 @@ impl CycleSql {
 
             let mut verify_span = cand_span.as_ref().map(|s| s.child("verify"));
             let t = Instant::now();
-            let (verdict_entails, score) = match self.verifier.as_verifier() {
-                // Headroom estimate: entailment iff execution-correct.
-                None => (gold_result.is_some_and(|g| result.bag_eq(g)), None),
-                Some(verifier) => {
-                    let premise = premise.expect("premise built for non-oracle verifiers");
+            let (verdict, accept) = match (self.verifier.as_verifier(), &premise) {
+                (Some(verifier), Some(premise)) => {
                     let input = VerifyInput {
                         question: &item.question,
                         premise_text: premise.text(),
@@ -464,86 +509,78 @@ impl CycleSql {
                     };
                     let hyp = hypothesis.get_or_insert_with(|| prepare(&item.question));
                     let verdict = verifier.verify_prepared(hyp, &input);
-                    if verdict.entails {
-                        chosen = Some(ChosenCandidate {
-                            sql: cand.sql.clone(),
-                            ast: Some(Arc::clone(query)),
-                            result: Some(Arc::clone(&result)),
-                            explanation: match premise {
-                                Premise::Grounded(e) => Some(e),
-                                Premise::Sql2Nl(_) => None,
-                            },
-                            iterations: iteration,
-                        });
-                    }
-                    (verdict.entails, Some(verdict.score))
+                    let accept = self.policy.accept(
+                        &item.question,
+                        premise.text(),
+                        verdict,
+                        &result,
+                        gold_result,
+                    );
+                    (Some(verdict), accept)
                 }
+                // Headroom estimate: accept iff execution-correct.
+                _ => (None, gold_result.is_some_and(|g| result.bag_eq(g))),
             };
             stages.verify += t.elapsed();
             if let Some(mut s) = verify_span.take() {
-                s.set("entails", verdict_entails);
-                if let Some(score) = score {
-                    s.set("score", score);
+                s.set("entails", verdict.map_or(accept, |v| v.entails));
+                if let Some(v) = verdict {
+                    s.set("score", v.score);
                 }
             }
             if let Some(mut s) = cand_span.take() {
-                s.set("entails", verdict_entails);
+                s.set("entails", accept);
             }
-            if verdict_entails {
-                if chosen.is_none() {
-                    chosen = Some(ChosenCandidate {
-                        sql: cand.sql.clone(),
-                        ast: Some(Arc::clone(query)),
-                        result: Some(result),
-                        explanation: None,
-                        iterations: iteration,
-                    });
-                }
+            if accept {
+                chosen = Some(ChosenCandidate {
+                    sql: cand.sql.clone(),
+                    ast: Some(Arc::clone(query)),
+                    result: Some(result),
+                    explanation: match premise {
+                        Some(Premise::Grounded(e)) => Some(e),
+                        _ => None,
+                    },
+                });
                 break;
             }
         }
 
         let overhead = start.elapsed().saturating_sub(stages.translate);
-        match chosen {
-            Some(c) => LoopOutcome {
-                chosen_sql: c.sql,
-                iterations: c.iterations,
-                accepted: true,
-                explanation: c.explanation,
-                overhead,
-                chosen_ast: c.ast,
-                chosen_result: c.result,
-                stages,
-                timed_out,
-            },
-            None => {
-                // Nothing validated: fall back to the top-1 candidate. The
-                // run examined every candidate it drew (all of them, unless
-                // the deadline cut it short).
-                let top1 = top1.as_ref().map(|c| c.borrow());
-                LoopOutcome {
-                    chosen_sql: top1.map(|c| c.sql.clone()).unwrap_or_default(),
-                    iterations: examined,
-                    accepted: false,
-                    explanation: first_explained,
-                    overhead,
-                    chosen_ast: top1.and_then(|c| c.ast.clone()),
-                    chosen_result: top1_result,
-                    stages,
-                    timed_out,
-                }
+        let accepted = chosen.is_some();
+        // Nothing validated: fall back to the top-1 candidate. The run
+        // examined every candidate it drew (all of them, unless the deadline
+        // cut it short), and an acceptance ends the run, so `examined` is
+        // the iteration count either way.
+        let c = chosen.unwrap_or_else(|| {
+            let top1 = top1.as_ref().map(|c| c.borrow());
+            ChosenCandidate {
+                sql: top1.map(|c| c.sql.clone()).unwrap_or_default(),
+                ast: top1.and_then(|c| c.ast.clone()),
+                result: top1_result,
+                explanation: first_explained,
             }
+        });
+        LoopOutcome {
+            chosen_sql: c.sql,
+            iterations: examined,
+            accepted,
+            explanation: c.explanation,
+            overhead,
+            chosen_ast: c.ast,
+            chosen_result: c.result,
+            stages,
+            timed_out,
         }
     }
 }
 
-/// The accepted candidate's artifacts, accumulated during the loop.
+/// The chosen candidate's artifacts: the accepted one, or the top-1
+/// fallback.
 struct ChosenCandidate {
     sql: String,
     ast: Option<Arc<Query>>,
     result: Option<Arc<ResultSet>>,
     explanation: Option<Arc<Explanation>>,
-    iterations: usize,
 }
 
 /// What the verifier reads for one candidate, borrowed rather than cloned.
@@ -838,8 +875,8 @@ mod more_loop_tests {
         let item = &ctx.spider.dev[0];
         let db = ctx.spider.database(item);
         let cycle = CycleSql {
-            verifier: LoopVerifier::Trained(ctx.verifier.clone()),
             feedback: FeedbackKind::Sql2Nl,
+            ..ctx.cycle()
         };
         let candidates = vec![Candidate {
             sql: item.gold_sql.clone(),
@@ -1024,7 +1061,7 @@ mod control_tests {
             for (idx, item) in ctx.spider.dev.iter().enumerate().take(10) {
                 let db = ctx.spider.database(item);
                 let gold = ctx.spider.prepared_item(cyclesql_benchgen::Split::Dev, idx);
-                let gold = gold.gold_result.as_deref();
+                let gold = gold.gold_result();
                 let cands = prepared(&[item.gold_sql.as_str(), "SELECT count(*) FROM nosuchtable"]);
                 let plain = cycle.run_prepared(item, db, &cands, gold);
                 // Twice: the second pass reads memoized results and

@@ -204,8 +204,7 @@ pub fn evaluate(model: &SimulatedModel, opts: &EvalOptions<'_>) -> EvalResult {
             severity,
             science,
         };
-        let gold = prep.as_prepared_gold();
-        let mut beam = model.beam(&req, gold.as_ref());
+        let mut beam = model.beam(&req, prep.gold.as_ref());
         let (chosen_ast, chosen_result, iterations, overhead_ms) = match opts.mode {
             EvalMode::Base => {
                 // Only the top-1 is drawn.
@@ -215,7 +214,7 @@ pub fn evaluate(model: &SimulatedModel, opts: &EvalOptions<'_>) -> EvalResult {
             }
             EvalMode::CycleSql => {
                 let cycle = opts.cycle.expect("CycleSql mode requires a loop");
-                let outcome = cycle.run_prepared(item, db, beam, prep.gold_result.as_deref());
+                let outcome = cycle.run_prepared(item, db, beam, prep.gold_result());
                 (
                     outcome.chosen_ast,
                     outcome.chosen_result,
@@ -228,7 +227,7 @@ pub fn evaluate(model: &SimulatedModel, opts: &EvalOptions<'_>) -> EvalResult {
             (Some(pred), Some(gold)) => &CanonicalSql::of(pred) == gold,
             _ => false,
         };
-        let ex = match (prep.gold_result.as_deref(), chosen_result.as_deref()) {
+        let ex = match (prep.gold_result(), chosen_result.as_deref()) {
             (Some(g), Some(p)) => p.bag_eq(g),
             _ => false,
         };
@@ -314,14 +313,13 @@ pub fn evaluate_science_em(
             severity: session.variant.severity(),
             science: true,
         };
-        let gold = prep.as_prepared_gold();
-        let mut beam = model.beam(&req, gold.as_ref());
+        let mut beam = model.beam(&req, prep.gold.as_ref());
         let chosen_ast = match mode {
             EvalMode::Base => beam.next().and_then(|c| c.ast),
             EvalMode::CycleSql => {
                 cycle
                     .expect("loop")
-                    .run_prepared(item, db, beam, prep.gold_result.as_deref())
+                    .run_prepared(item, db, beam, prep.gold_result())
                     .chosen_ast
             }
         };
@@ -354,11 +352,9 @@ pub fn any_beam_accuracy(
             science: session.variant == Variant::Science,
         };
         // Drawing stops at the first correct candidate.
-        let gold = prep.as_prepared_gold();
-        let mut beam = model.beam(&req, gold.as_ref());
+        let mut beam = model.beam(&req, prep.gold.as_ref());
         acc.record(
-            prep.gold_result
-                .as_deref()
+            prep.gold_result()
                 .is_some_and(|g| beam.any(|c| c.result(db).is_some_and(|r| r.bag_eq(g)))),
         );
     }

@@ -93,8 +93,8 @@ impl ExperimentContext {
     /// A loop with SQL2NL feedback and a matching verifier (Figure 9).
     pub fn cycle_with(&self, verifier: TrainedVerifier, feedback: FeedbackKind) -> CycleSql {
         CycleSql {
-            verifier: LoopVerifier::Trained(verifier),
             feedback,
+            ..CycleSql::new(LoopVerifier::Trained(verifier))
         }
     }
 

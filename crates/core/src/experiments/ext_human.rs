@@ -6,10 +6,11 @@
 use super::ExperimentContext;
 use crate::cycle::{CycleSql, LoopVerifier};
 use crate::eval::{evaluate, EvalMode, EvalOptions, Parallelism};
-use crate::human::{InteractiveCycleSql, SimulatedHuman};
+use crate::human::{HumanPolicy, SimulatedHuman};
 use cyclesql_benchgen::Split;
-use cyclesql_models::{ModelProfile, SimulatedModel, TranslationRequest};
+use cyclesql_models::{ModelProfile, SimulatedModel};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// One sweep point.
 #[derive(Debug, Clone)]
@@ -42,21 +43,22 @@ cyclesql_obs::impl_to_json! { ExtHumanResult { autonomous_ex, oracle_ex, rows } 
 /// Runs the sweep on RESDSQL-3B over the SPIDER dev split.
 pub fn run(ctx: &ExperimentContext) -> ExtHumanResult {
     let model = SimulatedModel::new(ModelProfile::resdsql_3b());
-    let loop_ex = |cycle: &CycleSql| {
+    let loop_ex = |cycle: &CycleSql, k: Option<usize>| {
         let opts = EvalOptions {
             session: &ctx.spider,
             split: Split::Dev,
             mode: EvalMode::CycleSql,
             cycle: Some(cycle),
-            k: None,
+            k,
             compute_ts: false,
             parallelism: Parallelism::Auto,
         };
         evaluate(&model, &opts).ex
     };
-    let autonomous_ex = loop_ex(&ctx.cycle());
-    let oracle_ex = loop_ex(&CycleSql::new(LoopVerifier::Oracle));
+    let autonomous_ex = loop_ex(&ctx.cycle(), None);
+    let oracle_ex = loop_ex(&CycleSql::new(LoopVerifier::Oracle), None);
 
+    let n = ctx.spider.dev.len().max(1);
     let mut rows = Vec::new();
     for &competence in &[0.7, 0.85, 0.95, 1.0] {
         for &band in &[0.15, 0.35] {
@@ -64,42 +66,17 @@ pub fn run(ctx: &ExperimentContext) -> ExtHumanResult {
                 competence,
                 seed: 0xB0A7,
             };
-            let interactive = InteractiveCycleSql {
-                verifier: &ctx.verifier,
-                human: &human,
-                uncertainty_band: band,
+            let policy = Arc::new(HumanPolicy::new(human, ctx.verifier.model.threshold, band));
+            let cycle = CycleSql {
+                policy: policy.clone(),
+                ..ctx.cycle()
             };
-            let mut correct = 0usize;
-            let mut escalations = 0usize;
-            for (idx, item) in ctx.spider.dev.iter().enumerate() {
-                let prep = ctx.spider.prepared_item(Split::Dev, idx);
-                let db = ctx.spider.database(item);
-                let req = TranslationRequest {
-                    item,
-                    db,
-                    k: 8,
-                    severity: 0.0,
-                    science: false,
-                };
-                let gold = prep.as_prepared_gold();
-                let gold_result = prep.gold_result.as_deref();
-                let out = interactive.run(item, db, model.beam(&req, gold.as_ref()), gold_result);
-                // EX against the session's cached gold result, from the
-                // result the loop read for its choice.
-                let ok = out
-                    .chosen_result
-                    .as_deref()
-                    .zip(gold_result)
-                    .is_some_and(|(p, g)| p.bag_eq(g));
-                correct += ok as usize;
-                escalations += out.escalations;
-            }
-            let n = ctx.spider.dev.len().max(1);
+            let ex = loop_ex(&cycle, Some(8));
             rows.push(ExtHumanRow {
                 competence,
                 band,
-                ex: 100.0 * correct as f64 / n as f64,
-                escalations_per_item: escalations as f64 / n as f64,
+                ex,
+                escalations_per_item: policy.escalations() as f64 / n as f64,
             });
         }
     }

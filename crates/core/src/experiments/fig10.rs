@@ -83,8 +83,8 @@ pub fn run(ctx: &ExperimentContext) -> Fig10Result {
         // The case SQL is the item's gold, so the session already holds its
         // parsed AST and executed result.
         let prep = ctx.spider.prepared_item(Split::Dev, idx);
-        let query = prep.gold_ast.as_deref().expect("case SQL parses");
-        let result = prep.gold_result.as_deref().expect("case SQL executes");
+        let query = prep.gold_ast().expect("case SQL parses");
+        let result = prep.gold_result().expect("case SQL executes");
         let prov = track_provenance(db, query, result, 0).expect("provenance");
         let grounded = cyclesql_explain::generate_explanation(db, query, result, 0, &prov);
         let baseline = sql_to_nl(db, query);

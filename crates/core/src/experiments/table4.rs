@@ -80,8 +80,8 @@ fn explain_item(
     let db = ctx.spider.database(item);
     // The gold AST and result come out of the session's prepared artifacts.
     let prep = ctx.spider.prepared_item(Split::Dev, idx);
-    let query = prep.gold_ast.as_deref()?;
-    let result = prep.gold_result.as_deref()?;
+    let query = prep.gold_ast()?;
+    let result = prep.gold_result()?;
     let prov = track_provenance(db, query, result, 0).ok()?;
     let explanation = generate_explanation(db, query, result, 0, &prov);
     let result_render = match result.rows.first() {

@@ -676,8 +676,8 @@ mod tests {
                             pairs += 1;
                         }
                     };
-                    if let Some(gold) = prep.gold_ast.as_deref() {
-                        check(&item.gold_sql, gold, prep.gold_result.as_deref());
+                    if let Some(gold) = prep.gold_ast() {
+                        check(&item.gold_sql, gold, prep.gold_result());
                     }
                     // The top-1 and one more keep the debug run short.
                     let req = TranslationRequest {
@@ -687,7 +687,7 @@ mod tests {
                         severity: 0.0,
                         science,
                     };
-                    for cand in model.beam(&req, prep.as_prepared_gold().as_ref()) {
+                    for cand in model.beam(&req, prep.gold.as_ref()) {
                         if let Some(ast) = cand.ast.as_deref() {
                             check(&cand.sql, ast, cand.result(db).as_deref());
                         }

@@ -12,18 +12,14 @@
 //! competence and errs deterministically otherwise (substitution documented
 //! in DESIGN.md).
 
-use cyclesql_benchgen::BenchmarkItem;
-use cyclesql_explain::generate_explanation;
-use cyclesql_models::PreparedCandidate;
-use cyclesql_nli::{Hypothesis, TrainedVerifier, Verifier, VerifyInput};
-use cyclesql_provenance::track_provenance;
+use crate::cycle::AcceptPolicy;
+use cyclesql_nli::Verdict;
 use cyclesql_rng::fnv1a;
-use cyclesql_storage::{Database, ResultSet};
-use std::borrow::Borrow;
-use std::sync::Arc;
+use cyclesql_storage::ResultSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A human (or stand-in) judging whether an explanation matches a question.
-pub trait HumanJudge {
+pub trait HumanJudge: Send + Sync {
     /// Returns the human's verdict. `actually_correct` is supplied by the
     /// harness (which owns gold data) so stand-ins can calibrate their error
     /// rate; a real UI implementation ignores it.
@@ -52,149 +48,114 @@ impl HumanJudge for SimulatedHuman {
     }
 }
 
-/// Outcome of an interactive loop run.
-#[derive(Debug, Clone)]
-pub struct InteractiveOutcome {
-    /// The selected SQL.
-    pub chosen_sql: String,
-    /// Candidates examined.
-    pub iterations: usize,
-    /// How many verdicts were escalated to the human.
-    pub escalations: usize,
-    /// Whether any candidate was accepted (vs top-1 fallback).
-    pub accepted: bool,
-    /// The chosen candidate's result on the loop's database, when it ran —
-    /// consumers can compute EX without re-executing `chosen_sql`.
-    pub chosen_result: Option<Arc<ResultSet>>,
+/// The interactive accept policy: verifier first, human on uncertainty.
+/// A verdict whose score lies within `band` of the verifier's threshold is
+/// escalated to the human, who is told the candidate is actually correct
+/// iff its result bag-equals the gold's; any other verdict stands.
+///
+/// Plug it in as [`crate::CycleSql::policy`]. The policy counts its
+/// escalations across every run (and worker thread) that uses it.
+#[derive(Debug)]
+pub struct HumanPolicy<H> {
+    human: H,
+    threshold: f64,
+    band: f64,
+    escalations: AtomicUsize,
 }
 
-/// The interactive CycleSQL variant: verifier first, human on uncertainty.
-pub struct InteractiveCycleSql<'a, H: HumanJudge> {
-    /// The trained verifier.
-    pub verifier: &'a TrainedVerifier,
-    /// The human in the loop.
-    pub human: &'a H,
-    /// Half-width of the uncertainty band around the verifier threshold;
-    /// verdicts with `|score − threshold| < band` are escalated.
-    pub uncertainty_band: f64,
+impl<H: HumanJudge> HumanPolicy<H> {
+    /// A policy escalating verdicts with `|score − threshold| < band`;
+    /// `threshold` is the loop verifier's decision threshold.
+    pub fn new(human: H, threshold: f64, band: f64) -> Self {
+        HumanPolicy {
+            human,
+            threshold,
+            band,
+            escalations: AtomicUsize::new(0),
+        }
+    }
+
+    /// Verdicts escalated to the human so far.
+    pub fn escalations(&self) -> usize {
+        self.escalations.load(Ordering::Relaxed)
+    }
 }
 
-impl<H: HumanJudge> InteractiveCycleSql<'_, H> {
-    /// Runs the interactive loop over the inputs of
-    /// [`crate::CycleSql::run_prepared`], pulling candidates only as far as
-    /// it examines them. Candidates that do not parse, run, or yield
-    /// provenance are skipped; an escalated one is actually correct iff its
-    /// result bag-equals `gold_result`.
-    pub fn run<C: Borrow<PreparedCandidate>>(
+impl<H: HumanJudge> AcceptPolicy for HumanPolicy<H> {
+    fn accept(
         &self,
-        item: &BenchmarkItem,
-        db: &Database,
-        candidates: impl IntoIterator<Item = C>,
-        gold_result: Option<&ResultSet>,
-    ) -> InteractiveOutcome {
-        let mut escalations = 0usize;
-        let mut examined = 0usize;
-        // The top-1's text and result, for the fallback outcome.
-        let mut top1: (String, Option<Arc<ResultSet>>) = Default::default();
-        // The question's features, mined at the first verdict.
-        let mut hypothesis: Option<Hypothesis> = None;
-        for cand in candidates {
-            let cand = cand.borrow();
-            examined += 1;
-            let result = cand.result(db);
-            if examined == 1 {
-                top1 = (cand.sql.clone(), result.clone());
-            }
-            let (Some(query), Some(result)) = (cand.ast.as_deref(), result) else {
-                continue;
-            };
-            let Ok(prov) = track_provenance(db, query, &result, 0) else {
-                continue;
-            };
-            let explanation = generate_explanation(db, query, &result, 0, &prov);
-            let input = VerifyInput {
-                question: &item.question,
-                premise_text: &explanation.text,
-                facets: &explanation.facets,
-                sql: &cand.sql,
-            };
-            let hyp = hypothesis.get_or_insert_with(|| Hypothesis::new(&item.question));
-            let verdict = self.verifier.verify_prepared(hyp, &input);
-            let uncertain =
-                (verdict.score - self.verifier.model.threshold).abs() < self.uncertainty_band;
-            let accept = if uncertain {
-                escalations += 1;
-                let actually_correct = gold_result.is_some_and(|g| result.bag_eq(g));
-                self.human
-                    .judge(&item.question, &explanation.text, actually_correct)
-            } else {
-                verdict.entails
-            };
-            if accept {
-                return InteractiveOutcome {
-                    chosen_sql: cand.sql.clone(),
-                    iterations: examined,
-                    escalations,
-                    accepted: true,
-                    chosen_result: Some(result),
-                };
-            }
+        question: &str,
+        explanation: &str,
+        verdict: Verdict,
+        result: &ResultSet,
+        gold: Option<&ResultSet>,
+    ) -> bool {
+        if (verdict.score - self.threshold).abs() >= self.band {
+            return verdict.entails;
         }
-        let (chosen_sql, chosen_result) = top1;
-        InteractiveOutcome {
-            chosen_sql,
-            iterations: examined,
-            escalations,
-            accepted: false,
-            chosen_result,
-        }
+        self.escalations.fetch_add(1, Ordering::Relaxed);
+        let actually_correct = gold.is_some_and(|g| result.bag_eq(g));
+        self.human.judge(question, explanation, actually_correct)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cycle::{CycleSql, RunControls};
+    use crate::eval::{evaluate, EvalMode, EvalOptions, Parallelism};
     use crate::experiments::ExperimentContext;
     use crate::metrics::ex_correct;
     use cyclesql_benchgen::Split;
-    use cyclesql_models::{ModelProfile, SimulatedModel, TranslationRequest};
+    use cyclesql_models::{ModelProfile, PreparedCandidate, SimulatedModel, TranslationRequest};
+    use std::sync::Arc;
 
+    /// The trained loop under a simulated-human policy, and the policy.
+    fn human_loop(
+        ctx: &ExperimentContext,
+        band: f64,
+        competence: f64,
+        seed: u64,
+    ) -> (CycleSql, Arc<HumanPolicy<SimulatedHuman>>) {
+        let human = SimulatedHuman { competence, seed };
+        let policy = Arc::new(HumanPolicy::new(human, ctx.verifier.model.threshold, band));
+        let cycle = CycleSql {
+            policy: policy.clone(),
+            ..ctx.cycle()
+        };
+        (cycle, policy)
+    }
+
+    /// EX and escalations per item of the human-policy loop at k = 8 over
+    /// the Spider dev split.
     fn accuracy_with(ctx: &ExperimentContext, band: f64, competence: f64) -> (f64, f64) {
-        let model = SimulatedModel::new(ModelProfile::resdsql_3b());
-        let human = SimulatedHuman {
-            competence,
-            seed: 0xBEE,
-        };
-        let loop_ = InteractiveCycleSql {
-            verifier: &ctx.verifier,
-            human: &human,
-            uncertainty_band: band,
-        };
-        let mut correct = 0usize;
-        let mut escalation_rate = 0usize;
-        let items = &ctx.spider.dev;
-        for (idx, item) in items.iter().enumerate() {
-            let db = ctx.spider.database(item);
-            let req = TranslationRequest {
-                item,
-                db,
-                k: 8,
-                severity: 0.0,
-                science: false,
-            };
-            let gold = ctx
-                .spider
-                .prepared_item(Split::Dev, idx)
-                .gold_result
-                .as_deref();
-            let out = loop_.run(item, db, model.beam(&req, None), gold);
-            correct += ex_correct(db, &out.chosen_sql, &item.gold_sql) as usize;
-            escalation_rate += out.escalations;
-        }
-        (
-            100.0 * correct as f64 / items.len() as f64,
-            escalation_rate as f64 / items.len() as f64,
+        let (cycle, policy) = human_loop(ctx, band, competence, 0xBEE);
+        let ex = evaluate(
+            &SimulatedModel::new(ModelProfile::resdsql_3b()),
+            &spider_dev(ctx, &cycle, Parallelism::Auto),
         )
+        .ex;
+        (
+            ex,
+            policy.escalations() as f64 / ctx.spider.dev.len() as f64,
+        )
+    }
+
+    /// A CycleSQL pass at k = 8 over the Spider dev split, without TS.
+    fn spider_dev<'a>(
+        ctx: &'a ExperimentContext,
+        cycle: &'a CycleSql,
+        parallelism: Parallelism,
+    ) -> EvalOptions<'a> {
+        EvalOptions {
+            session: &ctx.spider,
+            split: Split::Dev,
+            mode: EvalMode::CycleSql,
+            cycle: Some(cycle),
+            k: Some(8),
+            compute_ts: false,
+            parallelism,
+        }
     }
 
     #[test]
@@ -225,15 +186,7 @@ mod tests {
         let model = SimulatedModel::new(ModelProfile::resdsql_3b());
         // Every verdict is escalated to a perfect human, who accepts
         // exactly the execution-correct candidates.
-        let human = SimulatedHuman {
-            competence: 1.0,
-            seed: 0xBEE,
-        };
-        let loop_ = InteractiveCycleSql {
-            verifier: &ctx.verifier,
-            human: &human,
-            uncertainty_band: f64::INFINITY,
-        };
+        let (loop_, _) = human_loop(ctx, f64::INFINITY, 1.0, 0xBEE);
         let k = 8;
         let (mut later, mut fallbacks) = (0usize, 0usize);
         for (idx, item) in ctx.spider.dev.iter().enumerate() {
@@ -246,13 +199,13 @@ mod tests {
                 science: false,
             };
             let prep = ctx.spider.prepared_item(Split::Dev, idx);
-            let gold = prep.as_prepared_gold();
-            let gold_result = prep.gold_result.as_deref();
+            let gold = prep.gold.as_ref();
+            let gold_result = prep.gold_result();
             let pulled = Cell::new(0usize);
             let beam = model
-                .beam(&req, gold.as_ref())
+                .beam(&req, gold)
                 .inspect(|_| pulled.set(pulled.get() + 1));
-            let out = loop_.run(item, db, beam, gold_result);
+            let out = loop_.run_prepared(item, db, beam, gold_result);
             if out.accepted {
                 // An acceptance at iteration i pulled i candidates.
                 assert_eq!(pulled.get(), out.iterations, "{}", item.id);
@@ -276,6 +229,125 @@ mod tests {
         }
         assert!(later > 0, "some acceptance past the top-1");
         assert!(fallbacks > 0, "some run validated nothing");
+    }
+
+    /// Item `idx`'s k = 8 beam on the Spider dev split, fully drawn.
+    fn spider_beam(
+        ctx: &ExperimentContext,
+        model: &SimulatedModel,
+        idx: usize,
+    ) -> Vec<PreparedCandidate> {
+        let item = &ctx.spider.dev[idx];
+        let req = TranslationRequest {
+            item,
+            db: ctx.spider.database(item),
+            k: 8,
+            severity: 0.0,
+            science: false,
+        };
+        let prep = ctx.spider.prepared_item(Split::Dev, idx);
+        model.beam(&req, prep.gold.as_ref()).collect()
+    }
+
+    /// The spans under `parent` as nested names, children in creation
+    /// order: `serve(cycle(execute(),provenance(),..),..)`.
+    fn span_tree(records: &[cyclesql_obs::SpanRecord], parent: Option<u64>) -> String {
+        let mut kids: Vec<_> = records.iter().filter(|r| r.parent_id == parent).collect();
+        kids.sort_by_key(|r| r.span_id);
+        kids.iter()
+            .map(|r| format!("{}({})", r.name, span_tree(records, Some(r.span_id))))
+            .collect::<Vec<_>>()
+            .join(",")
+    }
+
+    #[test]
+    fn interactive_runs_emit_the_loop_span_tree() {
+        use cyclesql_obs::{MemorySink, ObsCounters, SpanCtx, SpanSink, Tracer};
+        let ctx = ExperimentContext::shared_quick();
+        let model = SimulatedModel::new(ModelProfile::resdsql_3b());
+        let traced = |cycle: &CycleSql, idx: usize, cands: &[PreparedCandidate]| {
+            let item = &ctx.spider.dev[idx];
+            let gold = ctx.spider.prepared_item(Split::Dev, idx).gold_result();
+            let counters = Arc::new(ObsCounters::default());
+            let sink = Arc::new(MemorySink::new(256, Arc::clone(&counters)));
+            let tracer = Tracer::new(sink.clone() as Arc<dyn SpanSink>, counters);
+            let out = {
+                let root = tracer.root("serve");
+                let controls = RunControls {
+                    span: SpanCtx::of(&root),
+                    ..RunControls::default()
+                };
+                let db = ctx.spider.database(item);
+                cycle.run_controlled(item, db, cands, gold, &controls)
+            };
+            (out.iterations, span_tree(&sink.records(), None))
+        };
+        let default = ctx.cycle();
+        let (interactive, policy) = human_loop(ctx, 0.35, 1.0, 0xBEE);
+        let mut escalated_and_compared = 0usize;
+        for idx in 0..ctx.spider.dev.len() {
+            let cands = spider_beam(ctx, &model, idx);
+            let before = policy.escalations();
+            let (auto_iterations, auto_tree) = traced(&default, idx, &cands);
+            let (human_iterations, human_tree) = traced(&interactive, idx, &cands);
+            assert!(
+                human_tree.starts_with("serve(cycle(execute("),
+                "{human_tree}"
+            );
+            // Runs that examine the same candidates trace the same tree.
+            if auto_iterations == human_iterations {
+                assert_eq!(human_tree, auto_tree, "item {idx}");
+                escalated_and_compared += usize::from(policy.escalations() > before);
+            }
+        }
+        assert!(
+            escalated_and_compared > 0,
+            "some escalated run was compared"
+        );
+    }
+
+    #[test]
+    fn escalation_tally_is_independent_of_parallelism() {
+        let ctx = ExperimentContext::shared_quick();
+        let model = SimulatedModel::new(ModelProfile::resdsql_3b());
+        let tally = |parallelism| {
+            let (cycle, policy) = human_loop(ctx, 0.35, 0.85, 0xB0A7);
+            let result = evaluate(&model, &spider_dev(ctx, &cycle, parallelism));
+            (result, policy.escalations())
+        };
+        let (sequential, seq_escalations) = tally(Parallelism::Sequential);
+        let (auto, auto_escalations) = tally(Parallelism::Auto);
+        assert!(seq_escalations > 0);
+        assert_eq!(seq_escalations, auto_escalations);
+        assert!(sequential.same_outcomes(&auto));
+    }
+
+    #[test]
+    fn zero_band_policy_takes_every_verdict() {
+        let ctx = ExperimentContext::shared_quick();
+        let model = SimulatedModel::new(ModelProfile::resdsql_3b());
+        let default = ctx.cycle();
+        let (interactive, policy) = human_loop(ctx, 0.0, 0.0, 1);
+        for (idx, item) in ctx.spider.dev.iter().enumerate() {
+            let db = ctx.spider.database(item);
+            let gold = ctx.spider.prepared_item(Split::Dev, idx).gold_result();
+            let cands = spider_beam(ctx, &model, idx);
+            let a = default.run_prepared(item, db, &cands, gold);
+            let b = interactive.run_prepared(item, db, &cands, gold);
+            assert_eq!(a.chosen_sql, b.chosen_sql, "{}", item.id);
+            assert_eq!(a.iterations, b.iterations, "{}", item.id);
+            assert_eq!(a.accepted, b.accepted, "{}", item.id);
+            assert_eq!(
+                a.explanation.as_ref().map(|e| &e.text),
+                b.explanation.as_ref().map(|e| &e.text),
+                "{}",
+                item.id
+            );
+            assert_eq!(a.chosen_ast, b.chosen_ast, "{}", item.id);
+            assert_eq!(a.chosen_result, b.chosen_result, "{}", item.id);
+            assert_eq!(a.timed_out, b.timed_out, "{}", item.id);
+        }
+        assert_eq!(policy.escalations(), 0);
     }
 
     #[test]

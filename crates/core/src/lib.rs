@@ -5,6 +5,11 @@
 //! (EM / EX / TS), and experiment drivers that regenerate every table and
 //! figure of the paper.
 //!
+//! There is one loop body, [`CycleSql::run_controlled`]. Who accepts a
+//! verified candidate is the loop's [`AcceptPolicy`]: [`TakeVerdict`] (the
+//! verifier's verdict stands) unless [`CycleSql::policy`] is set to
+//! another, such as the human-in-the-loop [`HumanPolicy`].
+//!
 //! ```
 //! use cyclesql_core::{CycleSql, LoopVerifier, ex_correct};
 //! use cyclesql_benchgen::{build_spider_suite, SuiteConfig, Variant};
@@ -40,15 +45,15 @@ pub mod session;
 pub mod training;
 
 pub use cycle::{
-    candidate_premise, premise_from_parts, CycleSql, FeedbackKind, LoopOutcome, LoopVerifier,
-    RunControls, StageTimings,
+    candidate_premise, premise_from_parts, AcceptPolicy, CycleSql, FeedbackKind, LoopOutcome,
+    LoopVerifier, RunControls, StageTimings, TakeVerdict,
 };
 pub use cyclesql_explain::{CachedRun, NoCache, RunCache};
 pub use eval::{
     any_beam_accuracy, evaluate, evaluate_pair, evaluate_science_em, trained_loop, EvalMode,
     EvalOptions, EvalResult, Parallelism,
 };
-pub use human::{HumanJudge, InteractiveCycleSql, InteractiveOutcome, SimulatedHuman};
+pub use human::{HumanJudge, HumanPolicy, SimulatedHuman};
 pub use metrics::{em_correct, ex_correct, ts_correct, Accuracy, VariantCache, TS_VARIANTS};
 pub use session::{EvalSession, PreparedItem};
 pub use training::{collect_training_data, train_verifier, CollectConfig, CollectStats};

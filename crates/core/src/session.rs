@@ -7,9 +7,10 @@
 //! of the loops: built once per benchmark suite, it owns a [`PreparedItem`]
 //! per item holding
 //!
-//! - the gold AST, parsed once (`Arc<Query>`),
+//! - the gold as the model simulators consume it ([`PreparedGold`]): its
+//!   AST parsed once, its print, and its run on the item's database,
+//!   executed and fingerprinted once,
 //! - the gold canonical form for EM, computed once ([`CanonicalSql`]),
-//! - the gold result on the item's database, executed once (`Arc<ResultSet>`),
 //! - and the gold result on each TS variant, executed lazily once and
 //!   memoized per `(item, seed)` behind a `OnceLock`.
 //!
@@ -30,10 +31,11 @@ use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
 /// Per-item gold artifacts, computed once when the session is built.
-#[derive(Debug)]
 pub struct PreparedItem {
-    /// The parsed gold query; `None` if the gold does not parse.
-    pub gold_ast: Option<Arc<Query>>,
+    /// The gold in the form the model simulators consume, built once and
+    /// shared by every pass; `None` when the gold does not parse. Its run is
+    /// `None` when the gold fails to execute.
+    pub gold: Option<PreparedGold<'static>>,
     /// The gold canonical form for EM comparison.
     pub gold_canonical: Option<CanonicalSql>,
     /// The gold query compiled once against the item's database schema;
@@ -41,9 +43,6 @@ pub struct PreparedItem {
     /// of the gold — on the dev database and on each TS variant (which
     /// share the schema the plan was bound against).
     pub gold_compiled: Option<Arc<CompiledQuery>>,
-    /// The gold result on the item's database; `None` if parsing or
-    /// execution failed.
-    pub gold_result: Option<Arc<ResultSet>>,
     /// Memoized gold results on the TS variants, indexed by `seed - 1`.
     variant_gold: [OnceLock<VariantGoldState>; TS_VARIANTS as usize],
 }
@@ -65,31 +64,32 @@ impl PreparedItem {
             .as_deref()
             .and_then(|q| compile(db, q).ok())
             .map(Arc::new);
-        let gold_result = gold_compiled
+        let gold_run = gold_compiled
             .as_deref()
-            .and_then(|c| c.run(db).ok().map(|o| o.result))
-            .map(Arc::new);
+            .and_then(|c| c.run(db).ok())
+            .map(|o| Arc::new(CachedRun::new(Arc::new(o.result))));
         PreparedItem {
-            gold_ast,
+            gold: gold_ast.map(|ast| PreparedGold {
+                sql: to_sql(&ast),
+                ast,
+                run: gold_run,
+                source: &NoCache,
+            }),
             gold_canonical,
             gold_compiled,
-            gold_result,
             variant_gold: Default::default(),
         }
     }
 
-    /// The gold artifacts in the form the model simulators consume, or
-    /// `None` when the gold does not parse.
-    pub fn as_prepared_gold(&self) -> Option<PreparedGold<'static>> {
-        self.gold_ast.as_ref().map(|ast| PreparedGold {
-            ast: Arc::clone(ast),
-            sql: to_sql(ast),
-            run: self
-                .gold_result
-                .clone()
-                .map(|r| Arc::new(CachedRun::new(r))),
-            source: &NoCache,
-        })
+    /// The parsed gold query; `None` if the gold does not parse.
+    pub fn gold_ast(&self) -> Option<&Query> {
+        self.gold.as_ref().map(|g| &*g.ast)
+    }
+
+    /// The gold result on the item's database; `None` if parsing or
+    /// execution failed.
+    pub fn gold_result(&self) -> Option<&ResultSet> {
+        self.gold.as_ref()?.run.as_deref().map(|r| &*r.result)
     }
 }
 
@@ -220,7 +220,7 @@ impl EvalSession {
     ) -> bool {
         let prep = &self.prepared(split)[idx];
         // EX gate: prediction and gold must both succeed and agree on dev.
-        let ex = match (&prep.gold_result, pred_dev_result) {
+        let ex = match (prep.gold_result(), pred_dev_result) {
             (Some(g), Some(p)) => p.bag_eq(g),
             _ => false,
         };
@@ -283,9 +283,9 @@ mod tests {
         }
         // Every generated gold parses and executes, so all artifacts exist.
         for prep in s.prepared(Split::Dev) {
-            assert!(prep.gold_ast.is_some());
+            assert!(prep.gold_ast().is_some());
             assert!(prep.gold_canonical.is_some());
-            assert!(prep.gold_result.is_some());
+            assert!(prep.gold_result().is_some());
         }
     }
 
@@ -306,13 +306,13 @@ mod tests {
             let prep = s.prepared_item(Split::Dev, idx);
             let db = s.database(item);
             let q = parse(&item.gold_sql).unwrap();
-            assert_eq!(to_sql(prep.gold_ast.as_deref().unwrap()), to_sql(&q));
+            assert_eq!(to_sql(prep.gold_ast().unwrap()), to_sql(&q));
             assert_eq!(
                 prep.gold_canonical.as_ref().unwrap().as_str(),
                 CanonicalSql::of(&q).as_str()
             );
             let direct = execute(db, &q).unwrap();
-            assert!(prep.gold_result.as_deref().unwrap().bag_eq(&direct));
+            assert!(prep.gold_result().unwrap().bag_eq(&direct));
         }
     }
 

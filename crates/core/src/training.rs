@@ -66,9 +66,10 @@ pub fn collect_training_data(
         // The question's features, mined once for all of the item's premises.
         let hyp = Hypothesis::new(&item.question);
         // Positive: the gold translation's explanation entails the question.
-        if let Some((text, facets)) = prep.gold_ast.as_deref().and_then(|gold| {
-            premise_from_parts(db, gold, prep.gold_result.as_deref(), config.feedback)
-        }) {
+        if let Some((text, facets)) = prep
+            .gold_ast()
+            .and_then(|gold| premise_from_parts(db, gold, prep.gold_result(), config.feedback))
+        {
             examples.push(TrainingExample {
                 features: hyp.features(&text, &facets),
                 entailment: true,
@@ -77,7 +78,6 @@ pub fn collect_training_data(
         }
         // Negatives: erroneous translations from the baseline models.
         let mut negatives_here = 0usize;
-        let gold = prep.as_prepared_gold();
         for model in models {
             let req = TranslationRequest {
                 item,
@@ -86,7 +86,7 @@ pub fn collect_training_data(
                 severity: 0.0,
                 science: false,
             };
-            let mut beam = model.beam(&req, gold.as_ref());
+            let mut beam = model.beam(&req, prep.gold.as_ref());
             while negatives_here < config.max_negatives_per_item {
                 let Some(cand) = beam.next() else {
                     break;
@@ -95,7 +95,7 @@ pub fn collect_training_data(
                     continue;
                 };
                 let result = cand.result(db);
-                let ex = match (prep.gold_result.as_deref(), result.as_deref()) {
+                let ex = match (prep.gold_result(), result.as_deref()) {
                     (Some(g), Some(c)) => c.bag_eq(g),
                     _ => false,
                 };
@@ -212,7 +212,7 @@ mod tests {
         for (idx, item) in session.suite().train.iter().enumerate() {
             let prep = session.prepared_item(Split::Train, idx);
             let db = session.database(item);
-            let gold = prep.gold_result.as_deref();
+            let gold = prep.gold_result();
             let mut push =
                 |text: &str, facets: &cyclesql_explain::ExplanationFacets, entailment| {
                     examples.push(TrainingExample {
@@ -221,8 +221,7 @@ mod tests {
                     })
                 };
             if let Some((text, facets)) = prep
-                .gold_ast
-                .as_deref()
+                .gold_ast()
                 .and_then(|g| premise_from_parts(db, g, gold, config.feedback))
             {
                 push(&text, &facets, true);
@@ -236,7 +235,7 @@ mod tests {
                     severity: 0.0,
                     science: false,
                 };
-                for cand in model.translate_prepared(&req, prep.as_prepared_gold().as_ref()) {
+                for cand in model.translate_prepared(&req, prep.gold.as_ref()) {
                     if negatives_here >= config.max_negatives_per_item {
                         break;
                     }

@@ -226,6 +226,38 @@ fn idle_connections_time_out_and_stalled_requests_get_408() {
 }
 
 #[test]
+fn a_connection_past_the_cap_gets_one_503_and_one_count() {
+    let suite = suite();
+    let server = start_server(
+        NetConfig {
+            max_connections: 2,
+            idle_timeout: Duration::from_secs(30),
+            ..NetConfig::default()
+        },
+        &suite,
+    );
+    // The acceptor takes connections in arrival order, so the two held
+    // ones fill both slots before the third is looked at.
+    let held: Vec<TcpStream> = (0..2)
+        .map(|_| TcpStream::connect(server.local_addr()).unwrap())
+        .collect();
+    let mut third = HttpClient::connect(server.local_addr()).unwrap();
+    let resp = third.read_response().unwrap();
+    assert_eq!(resp.status, 503);
+    assert!(
+        resp.body_str().contains("overloaded"),
+        "{}",
+        resp.body_str()
+    );
+    assert!(resp.closes());
+    assert!(third.read_response().is_err(), "one answer, then close");
+    let net = server.net_metrics();
+    assert_eq!(net.connections_rejected, 1);
+    assert_eq!(net.connections_accepted, 2);
+    drop(held);
+}
+
+#[test]
 fn pipelined_request_after_drain_begins_is_rejected_while_first_completes() {
     let suite = suite();
     let catalog = Catalog::from_suites([&suite]);

@@ -4,12 +4,15 @@
 
 use cyclesql_benchgen::Split;
 use cyclesql_core::experiments::ExperimentContext;
-use cyclesql_core::{ex_correct, InteractiveCycleSql, SimulatedHuman};
-use cyclesql_models::{ModelProfile, SimulatedModel, TranslationRequest};
+use cyclesql_core::{
+    evaluate, CycleSql, EvalMode, EvalOptions, HumanPolicy, Parallelism, SimulatedHuman,
+};
+use cyclesql_models::{ModelProfile, SimulatedModel};
 use cyclesql_nli::NliModel;
 use cyclesql_provenance::{diagnose_empty_result, where_provenance, WhereProvenance};
 use cyclesql_sql::parse;
 use cyclesql_storage::execute;
+use std::sync::Arc;
 
 fn main() {
     eprintln!("building suites and training the verifier (quick config)...");
@@ -66,41 +69,34 @@ fn main() {
 
     // --- 4. Human-in-the-loop ----------------------------------------------
     println!("== Human-in-the-loop (simulated, competence 0.95) ==");
+    // The trained loop, with verdicts near the threshold escalated to the
+    // simulated human; the policy counts its escalations.
     let model = SimulatedModel::new(ModelProfile::resdsql_3b());
     let human = SimulatedHuman {
         competence: 0.95,
         seed: 42,
     };
-    let interactive = InteractiveCycleSql {
-        verifier: &ctx.verifier,
-        human: &human,
-        uncertainty_band: 0.3,
+    let policy = Arc::new(HumanPolicy::new(human, ctx.verifier.model.threshold, 0.3));
+    let interactive = CycleSql {
+        policy: policy.clone(),
+        ..ctx.cycle()
     };
-    let mut correct = 0usize;
-    let mut escalations = 0usize;
-    let items = &ctx.spider.dev;
-    for (idx, item) in items.iter().enumerate() {
-        let db = ctx.spider.database(item);
-        let req = TranslationRequest {
-            item,
-            db,
-            k: 8,
-            severity: 0.0,
-            science: false,
-        };
-        let gold = ctx
-            .spider
-            .prepared_item(Split::Dev, idx)
-            .gold_result
-            .as_deref();
-        let out = interactive.run(item, db, model.beam(&req, None), gold);
-        correct += ex_correct(db, &out.chosen_sql, &item.gold_sql) as usize;
-        escalations += out.escalations;
-    }
+    let result = evaluate(
+        &model,
+        &EvalOptions {
+            session: &ctx.spider,
+            split: Split::Dev,
+            mode: EvalMode::CycleSql,
+            cycle: Some(&interactive),
+            k: Some(8),
+            compute_ts: false,
+            parallelism: Parallelism::Auto,
+        },
+    );
     println!(
         "interactive EX = {:.1}% over {} questions, {:.2} escalations per question",
-        100.0 * correct as f64 / items.len() as f64,
-        items.len(),
-        escalations as f64 / items.len() as f64
+        result.ex,
+        result.total,
+        policy.escalations() as f64 / result.total as f64
     );
 }
