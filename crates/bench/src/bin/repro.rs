@@ -9,7 +9,9 @@
 //!
 //! With no experiment flags, everything runs. `--quick` uses the reduced
 //! suite configuration (fast sanity pass); the default is the full-size
-//! suites. `--json <dir>` additionally writes each result as JSON.
+//! suites. `--json <dir>` additionally writes each result as JSON. An
+//! unknown argument, or a `--json`/`--dump-suite` without its directory,
+//! prints the usage and exits with status 2.
 //!
 //! Every run also writes `BENCH_eval.json` in the working directory with
 //! the per-experiment wall-clock breakdown (context/suite build, each
@@ -79,28 +81,78 @@ fn dump_suite(ctx: &ExperimentContext, dir: &str) {
     );
 }
 
+/// The command-line synopsis, printed on a bad argument.
+const USAGE: &str = "usage: repro [--quick] [--fig1] [--table1] [--table2] [--fig8] [--fig9]
+             [--table3] [--fig10] [--table4] [--ext-human] [--ext-ablation]
+             [--ext-arch] [--json <dir>] [--dump-suite <dir>]";
+
+/// The experiment flags, without their `--`, in run order.
+const EXPERIMENTS: [&str; 11] = [
+    "fig1",
+    "table1",
+    "table2",
+    "fig8",
+    "fig9",
+    "table3",
+    "table4",
+    "fig10",
+    "ext-human",
+    "ext-ablation",
+    "ext-arch",
+];
+
+/// The parsed command line.
+#[derive(Debug, Default, PartialEq)]
+struct Args {
+    quick: bool,
+    json_dir: Option<String>,
+    dump_dir: Option<String>,
+    /// The experiments named; none runs them all.
+    wanted: Vec<String>,
+}
+
+/// Parses the arguments after the program name. An unknown argument, or a
+/// `--json`/`--dump-suite` whose directory is missing or is itself a flag,
+/// is an error.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args::default();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => parsed.quick = true,
+            "--json" | "--dump-suite" => {
+                let dir = args
+                    .next()
+                    .filter(|dir| !dir.starts_with("--"))
+                    .ok_or_else(|| format!("{arg} needs a directory"))?;
+                let slot = if arg == "--json" {
+                    &mut parsed.json_dir
+                } else {
+                    &mut parsed.dump_dir
+                };
+                *slot = Some(dir.clone());
+            }
+            _ => match arg.strip_prefix("--") {
+                Some(name) if EXPERIMENTS.contains(&name) => parsed.wanted.push(name.to_string()),
+                _ => return Err(format!("unknown argument {arg}")),
+            },
+        }
+    }
+    Ok(parsed)
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json_dir = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let dump_dir = args
-        .iter()
-        .position(|a| a == "--dump-suite")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let wanted: Vec<&str> = args
-        .iter()
-        .filter(|a| {
-            a.starts_with("--") && *a != "--quick" && *a != "--json" && *a != "--dump-suite"
-        })
-        .map(|a| a.trim_start_matches("--"))
-        .collect();
-    let run_all = wanted.is_empty();
-    let want = |name: &str| run_all || wanted.contains(&name);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&argv).unwrap_or_else(|e| {
+        eprintln!("repro: {e}\n{USAGE}");
+        std::process::exit(2)
+    });
+    let quick = args.quick;
+    let run_all = args.wanted.is_empty();
+    let want = |name: &str| {
+        debug_assert!(EXPERIMENTS.contains(&name), "{name} is selectable");
+        run_all || args.wanted.iter().any(|w| w == name)
+    };
 
     eprintln!(
         "building benchmark suites and training the verifier ({})...",
@@ -124,9 +176,9 @@ fn main() {
         ctx.stats.negatives,
     );
 
-    if let Some(dir) = &dump_dir {
+    if let Some(dir) = &args.dump_dir {
         dump_suite(&ctx, dir);
-        if wanted.is_empty() && args.iter().any(|a| a == "--dump-suite") && args.len() <= 3 {
+        if run_all && args.json_dir.is_none() {
             return;
         }
     }
@@ -140,7 +192,7 @@ fn main() {
                 let t = Instant::now();
                 let r = $run;
                 println!("{}", r.render());
-                if let Some(dir) = &json_dir {
+                if let Some(dir) = &args.json_dir {
                     let _ = std::fs::create_dir_all(dir);
                     let path = format!("{dir}/{}.json", $json);
                     if let Err(e) = std::fs::write(&path, json::to_string_pretty(&r)) {
@@ -202,5 +254,54 @@ fn write_bench_eval(quick: bool, context_build_s: f64, timings: &[(String, f64)]
         eprintln!("failed writing {path}: {e}");
     } else {
         eprintln!("wall-clock breakdown written to {path}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn every_experiment_flag_parses() {
+        for name in EXPERIMENTS {
+            let args = parse(&["--quick", &format!("--{name}")]).unwrap();
+            assert!(args.quick);
+            assert_eq!(args.wanted, [name]);
+        }
+        assert_eq!(parse(&[]).unwrap(), Args::default());
+    }
+
+    #[test]
+    fn directories_follow_their_flags() {
+        let args = parse(&["--json", "out", "--table2", "--dump-suite", "suite"]).unwrap();
+        assert_eq!(args.json_dir.as_deref(), Some("out"));
+        assert_eq!(args.dump_dir.as_deref(), Some("suite"));
+        assert_eq!(args.wanted, ["table2"]);
+        assert!(!args.quick);
+    }
+
+    #[test]
+    fn unknown_arguments_are_rejected() {
+        for bad in [&["--tabel1"][..], &["--quick", "table1"], &["--"], &["-q"]] {
+            let err = parse(bad).unwrap_err();
+            assert!(err.starts_with("unknown argument"), "{bad:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_directory_flag_without_a_directory_is_rejected() {
+        for bad in [
+            &["--json"][..],
+            &["--json", "--quick"],
+            &["--dump-suite"],
+            &["--fig1", "--dump-suite", "--json", "out"],
+        ] {
+            let err = parse(bad).unwrap_err();
+            assert!(err.ends_with("needs a directory"), "{bad:?}: {err}");
+        }
     }
 }

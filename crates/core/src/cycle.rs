@@ -222,6 +222,11 @@ pub struct LoopOutcome {
     /// executed during the loop — consumers can compute EX without
     /// re-executing `chosen_sql`.
     pub chosen_result: Option<Arc<ResultSet>>,
+    /// The top-1 candidate's parsed query, when it parsed: the base model's
+    /// own answer, which evaluation scores next to the loop's choice.
+    pub top1_ast: Option<Arc<Query>>,
+    /// The top-1 candidate's result, when the loop executed it.
+    pub top1_result: Option<Arc<ResultSet>>,
     /// Per-stage wall-clock, summed over iterations (`translate` holds only
     /// the loop's own draws unless the caller adds to it).
     pub stages: StageTimings,
@@ -326,7 +331,7 @@ impl CycleSql {
         let mut examined = 0usize;
         let mut chosen: Option<ChosenCandidate> = None;
         let mut first_explained: Option<Arc<Explanation>> = None;
-        // The top-1 candidate's result, kept for the fallback outcome.
+        // The top-1 candidate's result, reported and kept for the fallback.
         let mut top1_result: Option<Arc<ResultSet>> = None;
         // The candidate under examination, once past the top-1.
         let mut later: Option<C> = None;
@@ -551,14 +556,13 @@ impl CycleSql {
         // examined every candidate it drew (all of them, unless the deadline
         // cut it short), and an acceptance ends the run, so `examined` is
         // the iteration count either way.
-        let c = chosen.unwrap_or_else(|| {
-            let top1 = top1.as_ref().map(|c| c.borrow());
-            ChosenCandidate {
-                sql: top1.map(|c| c.sql.clone()).unwrap_or_default(),
-                ast: top1.and_then(|c| c.ast.clone()),
-                result: top1_result,
-                explanation: first_explained,
-            }
+        let top1 = top1.as_ref().map(|c| c.borrow());
+        let top1_ast = top1.and_then(|c| c.ast.clone());
+        let c = chosen.unwrap_or_else(|| ChosenCandidate {
+            sql: top1.map(|c| c.sql.clone()).unwrap_or_default(),
+            ast: top1_ast.clone(),
+            result: top1_result.clone(),
+            explanation: first_explained,
         });
         LoopOutcome {
             chosen_sql: c.sql,
@@ -568,6 +572,8 @@ impl CycleSql {
             overhead,
             chosen_ast: c.ast,
             chosen_result: c.result,
+            top1_ast,
+            top1_result,
             stages,
             timed_out,
         }

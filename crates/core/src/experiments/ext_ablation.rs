@@ -9,7 +9,7 @@
 
 use super::ExperimentContext;
 use crate::cycle::{CycleSql, FeedbackKind, LoopVerifier};
-use crate::eval::{evaluate, EvalMode, EvalOptions, Parallelism};
+use crate::eval::{evaluate, EvalOptions};
 use crate::training::{collect_training_data, CollectConfig};
 use cyclesql_benchgen::Split;
 use cyclesql_models::{ModelProfile, SimulatedModel};
@@ -61,27 +61,10 @@ cyclesql_obs::impl_to_json! { ExtAblationResult { full_ex, base_ex, rows } }
 /// Runs the ablation on RESDSQL-3B over the SPIDER dev split.
 pub fn run(ctx: &ExperimentContext) -> ExtAblationResult {
     let model = SimulatedModel::new(ModelProfile::resdsql_3b());
-    let eval_with = |cycle: Option<&CycleSql>| {
-        evaluate(
-            &model,
-            &EvalOptions {
-                session: &ctx.spider,
-                split: Split::Dev,
-                mode: if cycle.is_some() {
-                    EvalMode::CycleSql
-                } else {
-                    EvalMode::Base
-                },
-                cycle,
-                k: None,
-                compute_ts: false,
-                parallelism: Parallelism::Auto,
-            },
-        )
-        .ex
-    };
-    let base_ex = eval_with(None);
-    let full_ex = eval_with(Some(&ctx.cycle()));
+    let eval_with =
+        |cycle: &CycleSql| evaluate(&model, &EvalOptions::new(&ctx.spider, Split::Dev, cycle));
+    let full = eval_with(&ctx.cycle());
+    let (base_ex, full_ex) = (full.base.ex, full.cycle.ex);
 
     // Collect the training examples once; each ablation masks and retrains.
     let error_sources = vec![
@@ -114,7 +97,7 @@ pub fn run(ctx: &ExperimentContext) -> ExtAblationResult {
             masked: masked.clone(),
         };
         let cycle = CycleSql::new(LoopVerifier::Custom(Box::new(verifier)));
-        let ex = eval_with(Some(&cycle));
+        let ex = eval_with(&cycle).cycle.ex;
         rows.push(AblationRow {
             removed: label.to_string(),
             ex,

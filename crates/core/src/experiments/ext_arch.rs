@@ -4,7 +4,7 @@
 
 use super::ExperimentContext;
 use crate::cycle::{CycleSql, FeedbackKind, LoopVerifier};
-use crate::eval::{evaluate, EvalMode, EvalOptions, Parallelism};
+use crate::eval::{evaluate, EvalOptions};
 use crate::training::{collect_training_data, CollectConfig};
 use cyclesql_benchgen::Split;
 use cyclesql_models::{ModelProfile, SimulatedModel};
@@ -38,26 +38,8 @@ cyclesql_obs::impl_to_json! { ExtArchResult { base_ex, rows } }
 /// Runs the architecture comparison.
 pub fn run(ctx: &ExperimentContext) -> ExtArchResult {
     let model = SimulatedModel::new(ModelProfile::resdsql_3b());
-    let eval_with = |cycle: Option<&CycleSql>| {
-        evaluate(
-            &model,
-            &EvalOptions {
-                session: &ctx.spider,
-                split: Split::Dev,
-                mode: if cycle.is_some() {
-                    EvalMode::CycleSql
-                } else {
-                    EvalMode::Base
-                },
-                cycle,
-                k: None,
-                compute_ts: false,
-                parallelism: Parallelism::Auto,
-            },
-        )
-        .ex
-    };
-    let base_ex = eval_with(None);
+    let eval_with =
+        |cycle: &CycleSql| evaluate(&model, &EvalOptions::new(&ctx.spider, Split::Dev, cycle));
 
     let error_sources = vec![
         SimulatedModel::new(ModelProfile::smbop()),
@@ -78,20 +60,20 @@ pub fn run(ctx: &ExperimentContext) -> ExtArchResult {
     let linear_cycle = CycleSql::new(LoopVerifier::Trained(cyclesql_nli::TrainedVerifier {
         model: linear,
     }));
-    let linear_ex = eval_with(Some(&linear_cycle));
+    let linear_pass = eval_with(&linear_cycle);
 
     let (mlp, _) = MlpNli::train(&examples, MlpConfig::default());
     let mlp_acc = mlp.accuracy(&examples);
     let mlp_cycle = CycleSql::new(LoopVerifier::Custom(Box::new(MlpVerifier { model: mlp })));
-    let mlp_ex = eval_with(Some(&mlp_cycle));
+    let mlp_ex = eval_with(&mlp_cycle).cycle.ex;
 
     ExtArchResult {
-        base_ex,
+        base_ex: linear_pass.base.ex,
         rows: vec![
             ArchRow {
                 arch: "linear (paper reproduction)".into(),
                 train_accuracy: linear_acc,
-                loop_ex: linear_ex,
+                loop_ex: linear_pass.cycle.ex,
             },
             ArchRow {
                 arch: "MLP (16 hidden, tanh)".into(),

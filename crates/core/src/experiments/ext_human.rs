@@ -5,7 +5,7 @@
 
 use super::ExperimentContext;
 use crate::cycle::{CycleSql, LoopVerifier};
-use crate::eval::{evaluate, EvalMode, EvalOptions, Parallelism};
+use crate::eval::{evaluate, EvalOptions};
 use crate::human::{HumanPolicy, SimulatedHuman};
 use cyclesql_benchgen::Split;
 use cyclesql_models::{ModelProfile, SimulatedModel};
@@ -45,15 +45,10 @@ pub fn run(ctx: &ExperimentContext) -> ExtHumanResult {
     let model = SimulatedModel::new(ModelProfile::resdsql_3b());
     let loop_ex = |cycle: &CycleSql, k: Option<usize>| {
         let opts = EvalOptions {
-            session: &ctx.spider,
-            split: Split::Dev,
-            mode: EvalMode::CycleSql,
-            cycle: Some(cycle),
             k,
-            compute_ts: false,
-            parallelism: Parallelism::Auto,
+            ..EvalOptions::new(&ctx.spider, Split::Dev, cycle)
         };
-        evaluate(&model, &opts).ex
+        evaluate(&model, &opts).cycle.ex
     };
     let autonomous_ex = loop_ex(&ctx.cycle(), None);
     let oracle_ex = loop_ex(&CycleSql::new(LoopVerifier::Oracle), None);

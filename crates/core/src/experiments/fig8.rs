@@ -2,7 +2,7 @@
 //! (b) inference latency with and without CycleSQL.
 
 use super::ExperimentContext;
-use crate::eval::{evaluate, EvalMode, EvalOptions, Parallelism};
+use crate::eval::{evaluate, EvalOptions};
 use cyclesql_benchgen::Split;
 use cyclesql_models::SimulatedModel;
 use std::fmt::Write as _;
@@ -44,35 +44,12 @@ pub fn run(ctx: &ExperimentContext, models: &[SimulatedModel]) -> Fig8Result {
     let rows = models
         .iter()
         .map(|model| {
-            let base = evaluate(
-                model,
-                &EvalOptions {
-                    session: &ctx.spider,
-                    split: Split::Dev,
-                    mode: EvalMode::Base,
-                    cycle: None,
-                    k: None,
-                    compute_ts: false,
-                    parallelism: Parallelism::Auto,
-                },
-            );
-            let with = evaluate(
-                model,
-                &EvalOptions {
-                    session: &ctx.spider,
-                    split: Split::Dev,
-                    mode: EvalMode::CycleSql,
-                    cycle: Some(&cycle),
-                    k: None,
-                    compute_ts: false,
-                    parallelism: Parallelism::Auto,
-                },
-            );
+            let pair = evaluate(model, &EvalOptions::new(&ctx.spider, Split::Dev, &cycle));
             Fig8Row {
                 model: model.profile.name.to_string(),
-                avg_iterations: with.avg_iterations,
-                base_latency_ms: base.avg_latency_ms,
-                cycle_latency_ms: with.avg_latency_ms,
+                avg_iterations: pair.cycle.avg_iterations,
+                base_latency_ms: pair.base.avg_latency_ms,
+                cycle_latency_ms: pair.cycle.avg_latency_ms,
                 excluded_from_latency: model.profile.name.starts_with("PICARD"),
             }
         })

@@ -4,8 +4,8 @@
 //! SPIDER-family benchmarks.
 
 use super::ExperimentContext;
-use crate::cycle::FeedbackKind;
-use crate::eval::{evaluate, EvalMode, EvalOptions, Parallelism};
+use crate::cycle::{CycleSql, FeedbackKind};
+use crate::eval::{evaluate, EvalOptions};
 use crate::training::{collect_training_data, CollectConfig};
 use cyclesql_benchgen::Split;
 use cyclesql_models::{ModelProfile, SimulatedModel};
@@ -71,29 +71,16 @@ pub fn run(ctx: &ExperimentContext) -> Fig9Result {
     let mut rows = Vec::new();
     for model in &models {
         for (label, session) in ctx.spider_family() {
-            let eval_with = |mode: EvalMode, cycle| {
-                evaluate(
-                    model,
-                    &EvalOptions {
-                        session,
-                        split: Split::Dev,
-                        mode,
-                        cycle,
-                        k: None,
-                        compute_ts: false,
-                        parallelism: Parallelism::Auto,
-                    },
-                )
-            };
-            let base = eval_with(EvalMode::Base, None);
-            let grounded = eval_with(EvalMode::CycleSql, Some(&cycle_grounded));
-            let sql2nl = eval_with(EvalMode::CycleSql, Some(&cycle_sql2nl));
+            let eval_with =
+                |cycle: &CycleSql| evaluate(model, &EvalOptions::new(session, Split::Dev, cycle));
+            let grounded = eval_with(&cycle_grounded);
+            let sql2nl = eval_with(&cycle_sql2nl);
             rows.push(Fig9Row {
                 model: model.profile.name.to_string(),
                 benchmark: label.to_string(),
-                base_ex: base.ex,
-                cyclesql_ex: grounded.ex,
-                sql2nl_ex: sql2nl.ex,
+                base_ex: grounded.base.ex,
+                cyclesql_ex: grounded.cycle.ex,
+                sql2nl_ex: sql2nl.cycle.ex,
             });
         }
     }

@@ -3,25 +3,12 @@
 //! the science benchmark.
 
 use super::ExperimentContext;
-use crate::eval::{
-    evaluate, evaluate_pair, evaluate_science_em, EvalMode, EvalOptions, EvalResult, Parallelism,
-};
+use crate::eval::{evaluate, EvalOptions, PairedResult};
 use crate::session::EvalSession;
 use cyclesql_benchgen::Split;
 use cyclesql_models::SimulatedModel;
 use std::collections::HashMap;
 use std::fmt::Write as _;
-
-/// A base/+CycleSQL pair of results.
-#[derive(Debug, Clone)]
-pub struct PairedResult {
-    /// Base model (top-1).
-    pub base: EvalResult,
-    /// With the CycleSQL loop.
-    pub cycle: EvalResult,
-}
-
-cyclesql_obs::impl_to_json! { PairedResult { base, cycle } }
 
 /// One model's full Table-I row.
 #[derive(Debug, Clone)]
@@ -68,9 +55,9 @@ pub fn run(ctx: &ExperimentContext, models: &[SimulatedModel]) -> Table1Result {
     let rows = models
         .iter()
         .map(|model| {
-            let pair = |session: &EvalSession, split: Split, ts: bool| {
-                let (base, with) = evaluate_pair(model, session, split, &cycle, ts);
-                PairedResult { base, cycle: with }
+            let pair = |session: &EvalSession, split: Split, compute_ts: bool| {
+                let opts = EvalOptions::new(session, split, &cycle);
+                evaluate(model, &EvalOptions { compute_ts, ..opts })
             };
             let spider_dev = pair(&ctx.spider, Split::Dev, true);
             // Test-set numbers for the two models the paper reports.
@@ -81,6 +68,8 @@ pub fn run(ctx: &ExperimentContext, models: &[SimulatedModel]) -> Table1Result {
             } else {
                 None
             };
+            let (science_em_base, science_em_cycle) =
+                evaluate(model, &EvalOptions::new(&ctx.science, Split::Dev, &cycle)).em_by_db();
             Table1Row {
                 model: model.profile.name.to_string(),
                 spider_dev,
@@ -88,20 +77,8 @@ pub fn run(ctx: &ExperimentContext, models: &[SimulatedModel]) -> Table1Result {
                 realistic: pair(&ctx.realistic, Split::Dev, true),
                 syn: pair(&ctx.syn, Split::Dev, true),
                 dk: pair(&ctx.dk, Split::Dev, false),
-                science_em_base: evaluate_science_em(
-                    model,
-                    &ctx.science,
-                    EvalMode::Base,
-                    None,
-                    None,
-                ),
-                science_em_cycle: evaluate_science_em(
-                    model,
-                    &ctx.science,
-                    EvalMode::CycleSql,
-                    Some(&cycle),
-                    None,
-                ),
+                science_em_base,
+                science_em_cycle,
             }
         })
         .collect();
@@ -117,34 +94,8 @@ pub fn run_dev_only(
     models
         .iter()
         .map(|model| {
-            let base = evaluate(
-                model,
-                &EvalOptions {
-                    session: &ctx.spider,
-                    split: Split::Dev,
-                    mode: EvalMode::Base,
-                    cycle: None,
-                    k: None,
-                    compute_ts: false,
-                    parallelism: Parallelism::Auto,
-                },
-            );
-            let with = evaluate(
-                model,
-                &EvalOptions {
-                    session: &ctx.spider,
-                    split: Split::Dev,
-                    mode: EvalMode::CycleSql,
-                    cycle: Some(&cycle),
-                    k: None,
-                    compute_ts: false,
-                    parallelism: Parallelism::Auto,
-                },
-            );
-            (
-                model.profile.name.to_string(),
-                PairedResult { base, cycle: with },
-            )
+            let pair = evaluate(model, &EvalOptions::new(&ctx.spider, Split::Dev, &cycle));
+            (model.profile.name.to_string(), pair)
         })
         .collect()
 }
@@ -200,6 +151,7 @@ impl Table1Result {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::EvalResult;
     use cyclesql_models::ModelProfile;
 
     #[test]
@@ -235,6 +187,50 @@ mod tests {
             row.dk.base.ex,
             row.spider_dev.base.ex
         );
+    }
+
+    #[test]
+    fn ex_flips_reconcile_base_and_loop_in_every_cell() {
+        let ctx = ExperimentContext::shared_quick();
+        let models = SimulatedModel::all();
+        let t = run(ctx, &models);
+        let cycle = ctx.cycle();
+        let ex_count = |r: &EvalResult| (r.ex * r.total as f64 / 100.0).round() as usize;
+        let (mut cells, mut turned_right) = (0, 0);
+        for (row, model) in t.rows.iter().zip(&models) {
+            // The science columns report EM only, but come from a pass too.
+            let science = evaluate(model, &EvalOptions::new(&ctx.science, Split::Dev, &cycle));
+            assert_eq!(
+                science.em_by_db(),
+                (row.science_em_base.clone(), row.science_em_cycle.clone())
+            );
+            for (name, pair) in [
+                ("dev", Some(&row.spider_dev)),
+                ("test", row.spider_test.as_ref()),
+                ("realistic", Some(&row.realistic)),
+                ("syn", Some(&row.syn)),
+                ("dk", Some(&row.dk)),
+                ("science", Some(&science)),
+            ] {
+                let Some(pair) = pair else { continue };
+                let f = pair.ex_flips();
+                let label = format!("{} {name}: {f:?}", row.model);
+                assert_eq!(
+                    f.right_right + f.right_wrong + f.wrong_right + f.wrong_wrong,
+                    pair.base.total,
+                    "{label}"
+                );
+                assert_eq!(
+                    ex_count(&pair.base) + f.wrong_right - f.right_wrong,
+                    ex_count(&pair.cycle),
+                    "{label}"
+                );
+                cells += 1;
+                turned_right += f.wrong_right;
+            }
+        }
+        assert!(cells >= 5 * models.len(), "{cells} cells");
+        assert!(turned_right > 0, "the loop turns some item right");
     }
 
     #[test]

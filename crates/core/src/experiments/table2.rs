@@ -2,7 +2,7 @@
 //! Spider difficulty level.
 
 use super::ExperimentContext;
-use crate::eval::{evaluate, EvalMode, EvalOptions, Parallelism};
+use crate::eval::{evaluate, EvalOptions};
 use cyclesql_benchgen::Split;
 use cyclesql_models::SimulatedModel;
 use std::fmt::Write as _;
@@ -37,35 +37,12 @@ pub fn run(ctx: &ExperimentContext, models: &[SimulatedModel]) -> Table2Result {
     let rows = models
         .iter()
         .map(|model| {
-            let base = evaluate(
-                model,
-                &EvalOptions {
-                    session: &ctx.spider,
-                    split: Split::Dev,
-                    mode: EvalMode::Base,
-                    cycle: None,
-                    k: None,
-                    compute_ts: false,
-                    parallelism: Parallelism::Auto,
-                },
-            );
-            let with = evaluate(
-                model,
-                &EvalOptions {
-                    session: &ctx.spider,
-                    split: Split::Dev,
-                    mode: EvalMode::CycleSql,
-                    cycle: Some(&cycle),
-                    k: None,
-                    compute_ts: false,
-                    parallelism: Parallelism::Auto,
-                },
-            );
+            let pair = evaluate(model, &EvalOptions::new(&ctx.spider, Split::Dev, &cycle));
             Table2Row {
                 model: model.profile.name.to_string(),
-                base: base.ex_by_difficulty,
-                cycle: with.ex_by_difficulty,
-                counts: base.counts_by_difficulty,
+                base: pair.base.ex_by_difficulty,
+                cycle: pair.cycle.ex_by_difficulty,
+                counts: pair.base.counts_by_difficulty,
             }
         })
         .collect();

@@ -4,10 +4,10 @@
 
 use super::ExperimentContext;
 use crate::cycle::{CycleSql, LoopVerifier};
-use crate::eval::{evaluate, EvalMode, EvalOptions, EvalResult, Parallelism};
+use crate::eval::{evaluate, EvalOptions, EvalResult};
 use cyclesql_benchgen::Split;
 use cyclesql_models::{ModelProfile, SimulatedModel};
-use cyclesql_nli::{AlwaysAcceptVerifier, LlmStrawmanVerifier, PrebuiltNliVerifier};
+use cyclesql_nli::{LlmStrawmanVerifier, PrebuiltNliVerifier};
 use std::fmt::Write as _;
 
 /// One ablation row.
@@ -37,49 +37,34 @@ cyclesql_obs::impl_to_json! { Table3Result { rows } }
 /// Runs the Table III ablation.
 pub fn run(ctx: &ExperimentContext) -> Table3Result {
     let model = SimulatedModel::new(ModelProfile::resdsql_3b());
-    let eval_cycle = |cycle: &CycleSql| -> EvalResult {
+    let eval_with = |cycle: &CycleSql| {
+        let opts = EvalOptions::new(&ctx.spider, Split::Dev, cycle);
         evaluate(
             &model,
             &EvalOptions {
-                session: &ctx.spider,
-                split: Split::Dev,
-                mode: EvalMode::CycleSql,
-                cycle: Some(cycle),
-                k: None,
                 compute_ts: true,
-                parallelism: Parallelism::Auto,
+                ..opts
             },
         )
     };
-    let base = evaluate(
-        &model,
-        &EvalOptions {
-            session: &ctx.spider,
-            split: Split::Dev,
-            mode: EvalMode::Base,
-            cycle: None,
-            k: None,
-            compute_ts: true,
-            parallelism: Parallelism::Auto,
-        },
-    );
-    let _ = AlwaysAcceptVerifier; // base ≡ always-accept; kept for clarity
+    let trained = eval_with(&ctx.cycle());
     let configs: Vec<(String, EvalResult)> = vec![
-        ("Base Model (RESDSQL_3B)".to_string(), base),
-        ("+CycleSQL".to_string(), eval_cycle(&ctx.cycle())),
+        ("Base Model (RESDSQL_3B)".to_string(), trained.base),
+        ("+CycleSQL".to_string(), trained.cycle),
         (
             "+CycleSQL (w/ LLM verifier)".to_string(),
-            eval_cycle(&CycleSql::new(LoopVerifier::LlmStrawman(
+            eval_with(&CycleSql::new(LoopVerifier::LlmStrawman(
                 LlmStrawmanVerifier,
-            ))),
+            )))
+            .cycle,
         ),
         (
             "+CycleSQL (w/ pre-built NLI verifier)".to_string(),
-            eval_cycle(&CycleSql::new(LoopVerifier::Prebuilt(PrebuiltNliVerifier))),
+            eval_with(&CycleSql::new(LoopVerifier::Prebuilt(PrebuiltNliVerifier))).cycle,
         ),
         (
             "+CycleSQL (w/ oracle verifier)".to_string(),
-            eval_cycle(&CycleSql::new(LoopVerifier::Oracle)),
+            eval_with(&CycleSql::new(LoopVerifier::Oracle)).cycle,
         ),
     ];
     Table3Result {

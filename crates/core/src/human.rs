@@ -103,7 +103,7 @@ impl<H: HumanJudge> AcceptPolicy for HumanPolicy<H> {
 mod tests {
     use super::*;
     use crate::cycle::{CycleSql, RunControls};
-    use crate::eval::{evaluate, EvalMode, EvalOptions, Parallelism};
+    use crate::eval::{evaluate, EvalOptions, Parallelism};
     use crate::experiments::ExperimentContext;
     use crate::metrics::ex_correct;
     use cyclesql_benchgen::Split;
@@ -134,6 +134,7 @@ mod tests {
             &SimulatedModel::new(ModelProfile::resdsql_3b()),
             &spider_dev(ctx, &cycle, Parallelism::Auto),
         )
+        .cycle
         .ex;
         (
             ex,
@@ -148,13 +149,9 @@ mod tests {
         parallelism: Parallelism,
     ) -> EvalOptions<'a> {
         EvalOptions {
-            session: &ctx.spider,
-            split: Split::Dev,
-            mode: EvalMode::CycleSql,
-            cycle: Some(cycle),
             k: Some(8),
-            compute_ts: false,
             parallelism,
+            ..EvalOptions::new(&ctx.spider, Split::Dev, cycle)
         }
     }
 
@@ -164,13 +161,7 @@ mod tests {
         let (with_human, escalations) = accuracy_with(ctx, 0.35, 1.0);
         let model = SimulatedModel::new(ModelProfile::resdsql_3b());
         let cycle = ctx.cycle();
-        let (_, auto) = crate::eval::evaluate_pair(
-            &model,
-            &ctx.spider,
-            cyclesql_benchgen::Split::Dev,
-            &cycle,
-            false,
-        );
+        let auto = evaluate(&model, &EvalOptions::new(&ctx.spider, Split::Dev, &cycle)).cycle;
         assert!(
             with_human >= auto.ex,
             "a perfect human on uncertain verdicts can't hurt: {with_human} vs {}",
@@ -312,7 +303,7 @@ mod tests {
         let model = SimulatedModel::new(ModelProfile::resdsql_3b());
         let tally = |parallelism| {
             let (cycle, policy) = human_loop(ctx, 0.35, 0.85, 0xB0A7);
-            let result = evaluate(&model, &spider_dev(ctx, &cycle, parallelism));
+            let result = evaluate(&model, &spider_dev(ctx, &cycle, parallelism)).cycle;
             (result, policy.escalations())
         };
         let (sequential, seq_escalations) = tally(Parallelism::Sequential);

@@ -10,6 +10,10 @@
 //! verifier's verdict stands) unless [`CycleSql::policy`] is set to
 //! another, such as the human-in-the-loop [`HumanPolicy`].
 //!
+//! There is one evaluation pass, [`evaluate`]: each item's beam is drawn
+//! once, by the loop, and the pass scores both the model's own top-1 (the
+//! loop's candidate 0) and the loop's choice, as a [`PairedResult`].
+//!
 //! ```
 //! use cyclesql_core::{CycleSql, LoopVerifier, ex_correct};
 //! use cyclesql_benchgen::{build_spider_suite, SuiteConfig, Variant};
@@ -50,8 +54,8 @@ pub use cycle::{
 };
 pub use cyclesql_explain::{CachedRun, NoCache, RunCache};
 pub use eval::{
-    any_beam_accuracy, evaluate, evaluate_pair, evaluate_science_em, trained_loop, EvalMode,
-    EvalOptions, EvalResult, Parallelism,
+    any_beam_accuracy, evaluate, trained_loop, EvalOptions, EvalResult, ExFlips, PairedResult,
+    Parallelism,
 };
 pub use human::{HumanJudge, HumanPolicy, SimulatedHuman};
 pub use metrics::{em_correct, ex_correct, ts_correct, Accuracy, VariantCache, TS_VARIANTS};

@@ -4,9 +4,7 @@
 
 use cyclesql_benchgen::Split;
 use cyclesql_core::experiments::ExperimentContext;
-use cyclesql_core::{
-    evaluate, CycleSql, EvalMode, EvalOptions, HumanPolicy, Parallelism, SimulatedHuman,
-};
+use cyclesql_core::{evaluate, CycleSql, EvalOptions, HumanPolicy, SimulatedHuman};
 use cyclesql_models::{ModelProfile, SimulatedModel};
 use cyclesql_nli::NliModel;
 use cyclesql_provenance::{diagnose_empty_result, where_provenance, WhereProvenance};
@@ -81,18 +79,11 @@ fn main() {
         policy: policy.clone(),
         ..ctx.cycle()
     };
-    let result = evaluate(
-        &model,
-        &EvalOptions {
-            session: &ctx.spider,
-            split: Split::Dev,
-            mode: EvalMode::CycleSql,
-            cycle: Some(&interactive),
-            k: Some(8),
-            compute_ts: false,
-            parallelism: Parallelism::Auto,
-        },
-    );
+    let opts = EvalOptions {
+        k: Some(8),
+        ..EvalOptions::new(&ctx.spider, Split::Dev, &interactive)
+    };
+    let result = evaluate(&model, &opts).cycle;
     println!(
         "interactive EX = {:.1}% over {} questions, {:.2} escalations per question",
         result.ex,

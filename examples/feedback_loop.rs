@@ -4,7 +4,7 @@
 
 use cyclesql_benchgen::Split;
 use cyclesql_core::experiments::ExperimentContext;
-use cyclesql_core::{evaluate_pair, CycleSql, LoopVerifier};
+use cyclesql_core::{evaluate, CycleSql, EvalOptions, LoopVerifier, PairedResult};
 use cyclesql_models::{ModelProfile, SimulatedModel};
 
 fn main() {
@@ -27,7 +27,9 @@ fn main() {
         ModelProfile::gpt35(),
     ] {
         let model = SimulatedModel::new(profile);
-        let (base, with) = evaluate_pair(&model, &ctx.spider, Split::Dev, &cycle, false);
+        let PairedResult {
+            base, cycle: with, ..
+        } = evaluate(&model, &EvalOptions::new(&ctx.spider, Split::Dev, &cycle));
         println!(
             "{:<16} {:>9.1} {:>11.1} {:>+7.1} {:>12.2}",
             model.profile.name,
@@ -41,7 +43,7 @@ fn main() {
     // The oracle headroom, as in Table III's last row.
     let oracle = CycleSql::new(LoopVerifier::Oracle);
     let model = SimulatedModel::new(ModelProfile::resdsql_3b());
-    let (_, ceiling) = evaluate_pair(&model, &ctx.spider, Split::Dev, &oracle, false);
+    let ceiling = evaluate(&model, &EvalOptions::new(&ctx.spider, Split::Dev, &oracle)).cycle;
     println!(
         "\noracle-verifier headroom for RESDSQL_3B: EX {:.1}%",
         ceiling.ex

@@ -4,9 +4,7 @@
 
 use cyclesql_benchgen::Split;
 use cyclesql_core::experiments::{fig1, table1, ExperimentContext};
-use cyclesql_core::{
-    evaluate, evaluate_pair, CycleSql, EvalMode, EvalOptions, LoopVerifier, Parallelism,
-};
+use cyclesql_core::{evaluate, CycleSql, EvalOptions, LoopVerifier, PairedResult, Parallelism};
 use cyclesql_models::{ModelProfile, SimulatedModel};
 
 #[test]
@@ -14,7 +12,9 @@ fn headline_claim_cyclesql_improves_resdsql() {
     let ctx = ExperimentContext::shared_quick();
     let model = SimulatedModel::new(ModelProfile::resdsql_3b());
     let cycle = ctx.cycle();
-    let (base, with) = evaluate_pair(&model, &ctx.spider, Split::Dev, &cycle, false);
+    let PairedResult {
+        base, cycle: with, ..
+    } = evaluate(&model, &EvalOptions::new(&ctx.spider, Split::Dev, &cycle));
     assert!(
         with.ex >= base.ex,
         "headline claim: +CycleSQL must not lose EX ({} vs {})",
@@ -34,7 +34,9 @@ fn improvement_holds_for_every_model_family() {
         ModelProfile::chess(),
     ] {
         let model = SimulatedModel::new(profile);
-        let (base, with) = evaluate_pair(&model, &ctx.spider, Split::Dev, &cycle, false);
+        let PairedResult {
+            base, cycle: with, ..
+        } = evaluate(&model, &EvalOptions::new(&ctx.spider, Split::Dev, &cycle));
         assert!(
             with.ex + 3.0 >= base.ex,
             "{}: EX regressed badly: {} -> {}",
@@ -51,8 +53,12 @@ fn oracle_dominates_trained_dominates_nothing() {
     let model = SimulatedModel::new(ModelProfile::resdsql_3b());
     let trained = ctx.cycle();
     let oracle = CycleSql::new(LoopVerifier::Oracle);
-    let (base, with_trained) = evaluate_pair(&model, &ctx.spider, Split::Dev, &trained, false);
-    let (_, with_oracle) = evaluate_pair(&model, &ctx.spider, Split::Dev, &oracle, false);
+    let PairedResult {
+        base,
+        cycle: with_trained,
+        ..
+    } = evaluate(&model, &EvalOptions::new(&ctx.spider, Split::Dev, &trained));
+    let with_oracle = evaluate(&model, &EvalOptions::new(&ctx.spider, Split::Dev, &oracle)).cycle;
     assert!(with_oracle.ex >= with_trained.ex);
     assert!(with_oracle.ex >= base.ex);
 }
@@ -100,7 +106,9 @@ fn frozen_verifier_transfers_to_variants() {
     let cycle = ctx.cycle();
     let mut improved = 0;
     for (_, suite) in ctx.spider_family() {
-        let (base, with) = evaluate_pair(&model, suite, Split::Dev, &cycle, false);
+        let PairedResult {
+            base, cycle: with, ..
+        } = evaluate(&model, &EvalOptions::new(suite, Split::Dev, &cycle));
         if with.ex >= base.ex {
             improved += 1;
         }
@@ -120,26 +128,25 @@ fn parallel_and_sequential_evaluation_agree_on_every_suite() {
     let model = SimulatedModel::new(ModelProfile::resdsql_3b());
     let cycle = ctx.cycle();
     for (label, session) in ctx.spider_family() {
-        for mode in [EvalMode::Base, EvalMode::CycleSql] {
-            let run = |parallelism| {
-                evaluate(
-                    &model,
-                    &EvalOptions {
-                        session,
-                        split: Split::Dev,
-                        mode,
-                        cycle: (mode == EvalMode::CycleSql).then_some(&cycle),
-                        k: None,
-                        compute_ts: true,
-                        parallelism,
-                    },
-                )
-            };
-            let seq = run(Parallelism::Sequential);
-            let par = run(Parallelism::Fixed(3));
+        let run = |parallelism| {
+            evaluate(
+                &model,
+                &EvalOptions {
+                    compute_ts: true,
+                    parallelism,
+                    ..EvalOptions::new(session, Split::Dev, &cycle)
+                },
+            )
+        };
+        let seq = run(Parallelism::Sequential);
+        let par = run(Parallelism::Fixed(3));
+        for (half, seq, par) in [
+            ("Base", &seq.base, &par.base),
+            ("CycleSql", &seq.cycle, &par.cycle),
+        ] {
             assert!(
-                seq.same_outcomes(&par),
-                "{label} {mode:?}: sequential and parallel runs diverged"
+                seq.same_outcomes(par),
+                "{label} {half}: sequential and parallel runs diverged"
             );
         }
     }
