@@ -30,10 +30,12 @@ use cyclesql_core::{CycleSql, LoopVerifier};
 use cyclesql_models::{ModelProfile, SimulatedModel};
 use cyclesql_nli::AlwaysAcceptVerifier;
 use cyclesql_obs::{
-    parse_jsonl_line, stage_summary, AttrValue, JsonlSink, MemorySink, ObsCounters,
+    parse_jsonl_line, stage_summary, AttrValue, Exposition, JsonlSink, MemorySink, ObsCounters,
     ObsCountersSnapshot, ParsedSpan, SamplePolicy, SamplingSink, SpanSink, Tracer, WindowConfig,
 };
-use cyclesql_serve::{render_all, Catalog, ServeConfig, ServeRequest, ServiceEngine};
+use cyclesql_serve::{
+    render_metrics, render_observability, Catalog, ServeConfig, ServeRequest, ServiceEngine,
+};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -244,10 +246,10 @@ fn main() {
         let metrics = engine.shutdown();
         jsonl.flush().expect("flush jsonl sink");
         let snapshot = counters.snapshot();
-        (
-            mode_result(elapsed, requests, snapshot),
-            render_all(&metrics, Some(&snapshot)),
-        )
+        let mut page = Exposition::default();
+        render_metrics(&mut page, &[(None, &metrics)]);
+        render_observability(&mut page, &snapshot);
+        (mode_result(elapsed, requests, snapshot), page.finish())
     };
     eprintln!(
         "on      : {:.2} req/s, {} spans emitted, {} traces sampled",

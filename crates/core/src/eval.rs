@@ -25,6 +25,7 @@ use cyclesql_sql::{CanonicalSql, Difficulty, Query};
 use cyclesql_storage::ResultSet;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Aggregate evaluation results for one (model, configuration, split).
 #[derive(Debug, Clone, Default)]
@@ -337,21 +338,37 @@ pub fn evaluate(model: &SimulatedModel, opts: &EvalOptions<'_>) -> PairedResult 
                 latency_ms,
             }
         };
-        ItemPair {
-            db_name: item.db_name.clone(),
-            diff: difficulty_index(item.difficulty),
-            base: score(
-                run.top1_ast.as_deref(),
-                run.top1_result.as_deref(),
-                1,
-                latency_ms,
-            ),
-            cycle: score(
+        let base = score(
+            run.top1_ast.as_deref(),
+            run.top1_result.as_deref(),
+            1,
+            latency_ms,
+        );
+        let cycle_latency_ms = latency_ms + run.overhead.as_secs_f64() * 1e3;
+        // A loop that keeps its top-1 scores exactly as the base does.
+        let kept_top1 = run.chosen_ast.as_ref().map(Arc::as_ptr)
+            == run.top1_ast.as_ref().map(Arc::as_ptr)
+            && run.chosen_result.as_ref().map(Arc::as_ptr)
+                == run.top1_result.as_ref().map(Arc::as_ptr);
+        let cycle = if kept_top1 {
+            Outcome {
+                iterations: run.iterations,
+                latency_ms: cycle_latency_ms,
+                ..base
+            }
+        } else {
+            score(
                 run.chosen_ast.as_deref(),
                 run.chosen_result.as_deref(),
                 run.iterations,
-                latency_ms + run.overhead.as_secs_f64() * 1e3,
-            ),
+                cycle_latency_ms,
+            )
+        };
+        ItemPair {
+            db_name: item.db_name.clone(),
+            diff: difficulty_index(item.difficulty),
+            base,
+            cycle,
         }
     };
 

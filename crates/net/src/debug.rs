@@ -7,9 +7,7 @@
 //! and hand it to these functions, so the formats are testable without a
 //! socket.
 
-use cyclesql_obs::{
-    format_trace_id, push_json_str, FlameSpan, SpanRecord, WindowSnapshot, LATENCY_BUCKETS,
-};
+use cyclesql_obs::{format_trace_id, push_json_str, FlameSpan, SpanRecord, WindowSnapshot};
 use cyclesql_serve::{RequestSummary, STAGE_NAMES};
 use std::fmt::Write as _;
 
@@ -130,22 +128,12 @@ pub fn render_telemetry_json(shards: &[(usize, Vec<(&'static str, WindowSnapshot
                  \"rate_per_sec\":{:.3},\"error_rate\":{:.4},\"sum_us\":{},\"buckets\":[",
                 w.window_ms, w.count, w.errors, w.rate_per_sec, w.error_rate, w.sum_us
             );
-            let mut first = true;
-            for b in 0..LATENCY_BUCKETS {
-                if w.hist[b] == 0 {
-                    continue;
-                }
-                if !first {
+            for (k, (le_us, count, exemplar)) in w.buckets().enumerate() {
+                if k > 0 {
                     out.push(',');
                 }
-                first = false;
-                let _ = write!(
-                    out,
-                    "{{\"le_us\":{},\"count\":{}",
-                    cyclesql_obs::latency_bucket_upper_us(b),
-                    w.hist[b]
-                );
-                if let Some(ex) = &w.exemplars[b] {
+                let _ = write!(out, "{{\"le_us\":{le_us},\"count\":{count}");
+                if let Some(ex) = exemplar {
                     let _ = write!(
                         out,
                         ",\"exemplar\":{{\"trace_id\":\"{}\",\"sql_digest\":\"{:016x}\",\"value_us\":{}}}",

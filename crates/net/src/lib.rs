@@ -42,6 +42,6 @@ pub use client::{HttpClient, HttpResponse};
 pub use cyclesql_obs::Json;
 pub use cyclesql_rng::fnv1a;
 pub use http::{HttpError, HttpLimits, Request, RequestParser, Response};
-pub use metrics::{NetMetrics, NetMetricsSnapshot};
+pub use metrics::{render_metrics_page, NetMetrics, NetMetricsSnapshot};
 pub use router::{RouteDecision, RouterConfig, ShardedEngine};
 pub use server::{DrainReport, NetConfig, NetObs, NetServer};

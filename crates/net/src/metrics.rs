@@ -1,9 +1,10 @@
 //! Wire-tier counters: what happened at the socket and HTTP layers before
 //! a request ever reached a shard. Lock-free like the engine's metrics;
-//! rendered into the same `/metrics` page alongside the per-shard engine
-//! families.
+//! rendered into the same `/metrics` page ([`render_metrics_page`])
+//! alongside the per-shard engine families.
 
-use cyclesql_serve::Histogram;
+use cyclesql_obs::{Exposition, Histogram, ObsCountersSnapshot, WindowSnapshot};
+use cyclesql_serve::{render_metrics, render_observability, render_windows, MetricsSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Front-door counters.
@@ -87,74 +88,105 @@ impl NetMetrics {
         }
     }
 
-    /// Renders the wire-tier families as Prometheus exposition text.
-    pub fn render(&self) -> String {
+    /// Renders the wire-tier families.
+    pub fn render(&self, page: &mut Exposition) {
         let s = self.snapshot();
-        let mut out = String::with_capacity(1024);
-        let mut counter = |name: &str, help: &str, value: u64| {
-            out.push_str(&format!(
-                "# HELP cyclesql_net_{name} {help}\n# TYPE cyclesql_net_{name} counter\ncyclesql_net_{name} {value}\n"
-            ));
-        };
-        counter(
-            "connections_accepted",
-            "Connections accepted.",
-            s.connections_accepted,
-        );
-        counter(
-            "connections_rejected",
-            "Connections turned away at the connection cap.",
-            s.connections_rejected,
-        );
-        counter(
-            "requests",
-            "Requests fully parsed off the wire.",
-            s.requests,
-        );
-        counter(
-            "parse_errors",
-            "Requests rejected by the HTTP parser.",
-            s.parse_errors,
-        );
-        counter("timeouts", "Connection idle/read timeouts.", s.timeouts);
-        counter("queries_ok", "Queries answered 200.", s.queries_ok);
-        counter("queries_shed", "Queries shed with 503.", s.queries_shed);
-        counter(
-            "queries_deadline",
-            "Queries that exceeded their deadline (504).",
-            s.queries_deadline,
-        );
-        counter(
-            "queries_unknown_db",
-            "Queries naming an unserved database (404).",
-            s.queries_unknown_db,
-        );
-        counter(
-            "drain_rejected",
-            "Requests refused with 503 while draining.",
-            s.drain_rejected,
-        );
-        counter(
-            "spilled",
-            "Queries diverted from their primary shard to a replica.",
-            s.spilled,
-        );
-        counter(
-            "inflight_waits_total",
-            "Requests that waited for their connection's previous response to be written.",
-            s.inflight_waits,
-        );
+        for (name, help, value) in [
+            (
+                "cyclesql_net_connections_accepted",
+                "Connections accepted.",
+                s.connections_accepted,
+            ),
+            (
+                "cyclesql_net_connections_rejected",
+                "Connections turned away at the connection cap.",
+                s.connections_rejected,
+            ),
+            (
+                "cyclesql_net_requests",
+                "Requests fully parsed off the wire.",
+                s.requests,
+            ),
+            (
+                "cyclesql_net_parse_errors",
+                "Requests rejected by the HTTP parser.",
+                s.parse_errors,
+            ),
+            (
+                "cyclesql_net_timeouts",
+                "Connection idle/read timeouts.",
+                s.timeouts,
+            ),
+            (
+                "cyclesql_net_queries_ok",
+                "Queries answered 200.",
+                s.queries_ok,
+            ),
+            (
+                "cyclesql_net_queries_shed",
+                "Queries shed with 503.",
+                s.queries_shed,
+            ),
+            (
+                "cyclesql_net_queries_deadline",
+                "Queries that exceeded their deadline (504).",
+                s.queries_deadline,
+            ),
+            (
+                "cyclesql_net_queries_unknown_db",
+                "Queries naming an unserved database (404).",
+                s.queries_unknown_db,
+            ),
+            (
+                "cyclesql_net_drain_rejected",
+                "Requests refused with 503 while draining.",
+                s.drain_rejected,
+            ),
+            (
+                "cyclesql_net_spilled",
+                "Queries diverted from their primary shard to a replica.",
+                s.spilled,
+            ),
+            (
+                "cyclesql_net_inflight_waits_total",
+                "Requests that waited for their connection's previous response to be written.",
+                s.inflight_waits,
+            ),
+        ] {
+            page.counter(name, help, value);
+        }
+        const ASSEMBLE: &str = "cyclesql_net_assemble_ms";
         let a = self.assemble.snapshot();
-        out.push_str(&format!(
-            "# HELP cyclesql_net_assemble_ms Wire assembly time per request.\n\
-             # TYPE cyclesql_net_assemble_ms summary\n\
-             cyclesql_net_assemble_ms{{quantile=\"0.5\"}} {}\n\
-             cyclesql_net_assemble_ms{{quantile=\"0.99\"}} {}\n\
-             cyclesql_net_assemble_ms_count {}\n",
-            a.p50_ms, a.p99_ms, a.count
-        ));
-        out
+        page.family(ASSEMBLE, "Wire assembly time per request.", "summary")
+            .sample(ASSEMBLE, "quantile=\"0.5\"", a.p50_ms)
+            .sample(ASSEMBLE, "quantile=\"0.99\"", a.p99_ms)
+            .sample("cyclesql_net_assemble_ms_count", "", a.count);
     }
+}
+
+/// The `/metrics` page: every shard's engine families (shard-labelled),
+/// the rolling-window telemetry with trace exemplars (shards that keep
+/// windows), the wire-tier families, and, when the server is traced, the
+/// span-pipeline counters of the tracer its shards share.
+pub fn render_metrics_page(
+    shards: &[(usize, MetricsSnapshot)],
+    windows: &[(usize, Vec<(&'static str, WindowSnapshot)>)],
+    net: &NetMetrics,
+    obs: Option<&ObsCountersSnapshot>,
+) -> String {
+    let mut page = Exposition::default();
+    let shards: Vec<_> = shards.iter().map(|(id, s)| (Some(*id), s)).collect();
+    render_metrics(&mut page, &shards);
+    let windows: Vec<_> = windows
+        .iter()
+        .map(|(id, w)| (Some(*id), w.as_slice()))
+        .collect();
+    render_windows(&mut page, &windows);
+    net.render(&mut page);
+    if let Some(counters) = obs {
+        render_observability(&mut page, counters);
+    }
+    page.finish()
 }
 
 #[cfg(test)]
@@ -167,7 +199,9 @@ mod tests {
         let m = NetMetrics::default();
         m.queries_ok.fetch_add(3, Ordering::Relaxed);
         m.assemble.record(Duration::from_micros(250));
-        let page = m.render();
+        let mut page = Exposition::default();
+        m.render(&mut page);
+        let page = page.finish();
         for family in [
             "cyclesql_net_connections_accepted",
             "cyclesql_net_connections_rejected",

@@ -23,15 +23,12 @@ use crate::debug::{
     flame_for_trace, query_param, render_requests_json, render_slow_json, render_telemetry_json,
 };
 use crate::http::{HttpError, HttpLimits, Request, RequestParser, Response};
-use crate::metrics::{NetMetrics, NetMetricsSnapshot};
+use crate::metrics::{render_metrics_page, NetMetrics, NetMetricsSnapshot};
 use crate::router::{RouteDecision, RouterConfig, ShardedEngine};
 use cyclesql_obs::{
     format_trace_id, parse_trace_id, parse_traceparent, MemorySink, SharedSpan, Tracer,
 };
-use cyclesql_serve::{
-    render_metrics_sharded, render_windows_sharded, Catalog, MetricsSnapshot, ServeError,
-    ServeResponse, ServiceEngine,
-};
+use cyclesql_serve::{Catalog, MetricsSnapshot, ServeError, ServeResponse, ServiceEngine};
 use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -686,18 +683,19 @@ fn health_body(shared: &NetShared) -> String {
     )
 }
 
-/// The `/metrics` page: per-shard engine families (shard-labelled), the
-/// rolling-window telemetry with trace exemplars (when enabled), plus
-/// the wire-tier families.
+/// The `/metrics` page ([`render_metrics_page`]) of this server's
+/// shards, wire tier and tracer.
 fn metrics_page(shared: &NetShared) -> String {
-    let shards = shared.sharded.metrics();
-    let mut page = render_metrics_sharded(&shards);
-    let windows = shared.sharded.telemetry();
-    if !windows.is_empty() {
-        page.push_str(&render_windows_sharded(&windows));
-    }
-    page.push_str(&shared.metrics.render());
-    page
+    render_metrics_page(
+        &shared.sharded.metrics(),
+        &shared.sharded.telemetry(),
+        &shared.metrics,
+        shared
+            .tracer
+            .as_ref()
+            .map(|t| t.counters().snapshot())
+            .as_ref(),
+    )
 }
 
 /// Admits a query on the connection thread: decode, route, and hand it to

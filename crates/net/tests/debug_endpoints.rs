@@ -1,6 +1,7 @@
 //! Live-server tests for the debug introspection endpoints: wire trace
 //! propagation into `/v1/debug/flame`, exemplars on `/metrics`,
-//! shard-count-independent `/v1/debug/requests` aggregation, and debug
+//! shard-count-independent `/v1/debug/requests` aggregation, the
+//! span-pipeline counters on a traced server's `/metrics`, and debug
 //! scraping during drain.
 
 use cyclesql_benchgen::{build_spider_suite, BenchmarkSuite, SuiteConfig, Variant};
@@ -161,6 +162,95 @@ fn wire_trace_flows_into_flame_and_metrics_exemplars() {
 
     drop(client);
     server.drain(Duration::from_secs(10));
+}
+
+/// The seven span-pipeline families a traced server's `/metrics` carries.
+const OBS_FAMILIES: [&str; 7] = [
+    "cyclesql_obs_spans_finished_total",
+    "cyclesql_obs_spans_emitted_total",
+    "cyclesql_obs_spans_dropped_total",
+    "cyclesql_obs_traces_sampled_total",
+    "cyclesql_obs_traces_discarded_total",
+    "cyclesql_obs_span_ring_overwrites_total",
+    "cyclesql_obs_request_ring_overwrites_total",
+];
+
+/// One query, then the `/metrics` page, then a drain.
+fn metrics_after_one_query(server: NetServer, suite: &BenchmarkSuite) -> String {
+    let mut client = HttpClient::connect(server.local_addr()).unwrap();
+    let body = encode_query(&suite.dev[0]);
+    let resp = client.request("POST", "/v1/query", Some(&body)).unwrap();
+    assert_eq!(resp.status, 200);
+    let page = client.request("GET", "/metrics", None).unwrap();
+    assert_eq!(page.status, 200);
+    drop(client);
+    server.drain(Duration::from_secs(10));
+    page.body_str().to_string()
+}
+
+/// A traced server's `/metrics` carries the shared tracer's span-pipeline
+/// counters once, unlabelled; an untraced server's carries none. Neither
+/// page repeats a family header.
+#[test]
+fn span_pipeline_counters_reach_metrics_only_when_traced() {
+    let suite = suite();
+    let (server, tracer) = start_traced(&suite, 2);
+    let traced = metrics_after_one_query(server, &suite);
+    for family in OBS_FAMILIES {
+        assert_eq!(
+            traced.matches(&format!("# HELP {family} ")).count(),
+            1,
+            "{family} header once"
+        );
+        assert_eq!(
+            traced
+                .lines()
+                .filter(|l| l.starts_with(&format!("{family} ")))
+                .count(),
+            1,
+            "{family} has one unlabelled sample"
+        );
+    }
+    assert!(tracer.counters().snapshot().spans_finished > 0);
+    assert!(!traced.contains("cyclesql_obs_spans_finished_total 0\n"));
+
+    let catalog = Catalog::from_suites([&suite]);
+    let server = NetServer::start(
+        "127.0.0.1:0",
+        NetConfig {
+            router: RouterConfig {
+                shards: 2,
+                ..RouterConfig::default()
+            },
+            ..NetConfig::default()
+        },
+        &catalog,
+        |_, slice| {
+            ServiceEngine::start(
+                slice,
+                SimulatedModel::new(ModelProfile::resdsql_3b()),
+                CycleSql::new(LoopVerifier::Oracle),
+                ServeConfig {
+                    workers: 1,
+                    window: Some(WindowConfig::default()),
+                    ..ServeConfig::default()
+                },
+            )
+        },
+        None,
+    )
+    .expect("bind loopback");
+    let untraced = metrics_after_one_query(server, &suite);
+    assert!(!untraced.contains("cyclesql_obs_"), "{untraced}");
+    assert!(untraced.contains("cyclesql_window_latency_us_bucket"));
+
+    for page in [&traced, &untraced] {
+        let mut helps: Vec<&str> = page.lines().filter(|l| l.starts_with("# HELP ")).collect();
+        let total = helps.len();
+        helps.sort_unstable();
+        helps.dedup();
+        assert_eq!(helps.len(), total, "a # HELP line repeats");
+    }
 }
 
 /// The stable identity of one request summary, independent of shard

@@ -474,10 +474,12 @@ impl<'a> Parser<'a> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
+        let malformed = || format!("malformed number at offset {start}");
+        std::str::from_utf8(&self.bytes[start..self.pos])
+            .map_err(|_| malformed())?
+            .parse::<f64>()
             .map(Json::Num)
-            .map_err(|_| format!("malformed number at offset {start}"))
+            .map_err(|_| malformed())
     }
 }
 
@@ -572,6 +574,9 @@ mod tests {
             b"\"caf\xc3\"",
             b"\"\xc3\\n\"",
             b"{\"a\": \"ok\", \"b\": \"\xe2\x82\"}",
+            b"-",
+            b"[1.2.3]",
+            b"{\"a\": -\xff}",
         ] {
             assert!(
                 Json::parse(doc).is_err(),

@@ -27,8 +27,12 @@
 //! - [`trace`] — wire trace-context propagation: W3C `traceparent`
 //!   parsing into the tracer's 64-bit ids, and the hex spelling used by
 //!   response headers and debug endpoints.
+//! - [`metrics`] — the one latency-bucket layout (log₂ µs), the
+//!   lock-free [`Histogram`] and its quantile estimator, and
+//!   [`Exposition`], the one Prometheus text writer: the engine, window,
+//!   span-pipeline and wire-tier families all render through it.
 //! - [`window`] — rolling time-windowed telemetry: per-stage rings of
-//!   fixed-width buckets (rate, error rate, log₂-µs latency histogram)
+//!   fixed-width buckets (rate, error rate, latency histogram)
 //!   whose histogram buckets carry **exemplars** (trace id + SQL digest
 //!   of a recent request), deterministic under an injected clock.
 //! - [`json`] — the workspace's JSON: the [`ToJson`] pretty writer for
@@ -60,6 +64,7 @@
 
 pub mod flame;
 pub mod json;
+pub mod metrics;
 pub mod sample;
 pub mod sink;
 pub mod span;
@@ -68,6 +73,10 @@ pub mod window;
 
 pub use flame::{render_flame, stage_summary, FlameSpan};
 pub use json::{push_json_str, Json, ToJson};
+pub use metrics::{
+    label, latency_bucket, latency_bucket_le_us, Exposition, Histogram, HistogramSnapshot,
+    LATENCY_BUCKETS,
+};
 pub use sample::{SamplePolicy, SamplingSink};
 pub use sink::{parse_jsonl_line, JsonlSink, MemorySink, ParsedSpan, SpanSink};
 pub use span::{
@@ -75,7 +84,4 @@ pub use span::{
     Tracer,
 };
 pub use trace::{format_trace_id, parse_trace_id, parse_traceparent};
-pub use window::{
-    latency_bucket, latency_bucket_upper_us, Exemplar, Window, WindowConfig, WindowSet,
-    WindowSnapshot, LATENCY_BUCKETS,
-};
+pub use window::{Exemplar, Window, WindowConfig, WindowSet, WindowSnapshot};

@@ -10,30 +10,12 @@
 //! without sleeps. [`WindowSet`] wraps a set of labeled windows behind a
 //! real monotonic clock for production use.
 //!
-//! The latency bucket layout deliberately mirrors the serving engine's
-//! cumulative histograms: bucket 0 holds sub-microsecond samples, bucket
-//! `b` in `1..=29` holds `[2^(b-1), 2^b)` µs, and bucket 30 absorbs
-//! everything from `2^29` µs up.
+//! The latency buckets are the one layout of [`metrics`](crate::metrics)
+//! ([`latency_bucket`]), the same the serving engine's histograms use.
 
+use crate::metrics::{latency_bucket, latency_bucket_le_us, LATENCY_BUCKETS};
 use std::sync::Mutex;
 use std::time::Instant;
-
-/// Latency bucket count (mirrors the engine's histogram layout).
-pub const LATENCY_BUCKETS: usize = 31;
-
-/// Maps a duration in microseconds to its log₂ latency bucket.
-pub fn latency_bucket(us: u64) -> usize {
-    if us == 0 {
-        0
-    } else {
-        ((64 - us.leading_zeros()) as usize).min(LATENCY_BUCKETS - 1)
-    }
-}
-
-/// Upper bound of a latency bucket, in microseconds.
-pub fn latency_bucket_upper_us(b: usize) -> u64 {
-    1u64 << b
-}
 
 /// Window shape: `buckets` time buckets of `bucket_ms` each; the covered
 /// span is their product.
@@ -142,6 +124,17 @@ impl WindowSnapshot {
             hist: [0; LATENCY_BUCKETS],
             exemplars: [None; LATENCY_BUCKETS],
         }
+    }
+
+    /// The non-empty latency buckets, lowest first: each one's upper bound
+    /// (µs), its sample count, and its exemplar.
+    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64, Option<&Exemplar>)> {
+        self.hist
+            .iter()
+            .zip(&self.exemplars)
+            .enumerate()
+            .filter(|(_, (n, _))| **n > 0)
+            .map(|(b, (n, ex))| (latency_bucket_le_us(b), *n, ex.as_ref()))
     }
 }
 
@@ -296,6 +289,9 @@ mod tests {
         })
     }
 
+    /// The window histogram uses the shared latency layout: every edge lands
+    /// in the bucket `latency_bucket` names, and the overflow bucket is
+    /// unbounded above.
     #[test]
     fn latency_bucket_edges_are_pinned() {
         assert_eq!(latency_bucket(0), 0, "bucket 0 holds sub-µs samples");
@@ -307,7 +303,18 @@ mod tests {
         let overflow = LATENCY_BUCKETS - 1;
         assert_eq!(latency_bucket(1 << (overflow - 1)), overflow);
         assert_eq!(latency_bucket(u64::MAX), overflow);
-        assert_eq!(latency_bucket_upper_us(3), 8);
+        assert_eq!(latency_bucket_le_us(3), 8);
+
+        let w = Window::new(cfg(1_000, 4));
+        w.record_at(0, 0, false, None);
+        w.record_at(0, 1, false, None);
+        w.record_at(0, (1 << (overflow - 1)) - 1, false, None);
+        w.record_at(0, 1 << 40, false, None);
+        let s = w.snapshot_at(0);
+        assert_eq!(s.hist[0], 1);
+        assert_eq!(s.hist[1], 1);
+        assert_eq!(s.hist[overflow - 1], 1);
+        assert_eq!(s.hist[overflow], 1);
     }
 
     #[test]

@@ -21,9 +21,10 @@
 //!   queue with two backpressure policies ([`AdmissionPolicy::Block`] /
 //!   [`AdmissionPolicy::Shed`]), per-request deadlines that abandon the
 //!   candidate loop cleanly mid-iteration, and graceful draining shutdown.
-//! - [`Metrics`] — lock-free counters and per-stage latency histograms,
-//!   exported as a serializable [`MetricsSnapshot`] and renderable as
-//!   Prometheus exposition text ([`prometheus::render_all`]).
+//! - [`Metrics`] — lock-free counters and per-stage latency histograms
+//!   (`cyclesql-obs`'s one `Histogram`), exported as a serializable
+//!   [`MetricsSnapshot`] and rendered as Prometheus exposition text by
+//!   [`render_metrics`] into `cyclesql-obs`'s one writer, `Exposition`.
 //!
 //! Started via [`ServiceEngine::start_traced`], the engine additionally
 //! opens one `cyclesql-obs` span tree per request — root `serve` span,
@@ -69,13 +70,7 @@ pub use catalog::{Catalog, CatalogEntry};
 pub use engine::{
     AdmissionPolicy, ServeConfig, ServeError, ServeRequest, ServeResponse, ServiceEngine, Ticket,
 };
-pub use metrics::{
-    Histogram, HistogramSnapshot, Metrics, MetricsSnapshot, StageHistograms, StageSnapshots,
-    HISTOGRAM_BUCKETS,
-};
+pub use metrics::{Metrics, MetricsSnapshot, StageHistograms, StageSnapshots};
 pub use plan_cache::{PlanCache, PlanKey, ResultCache};
-pub use prometheus::{
-    render_all, render_metrics, render_metrics_sharded, render_observability, render_windows,
-    render_windows_sharded,
-};
+pub use prometheus::{render_metrics, render_observability, render_windows};
 pub use requests::{sql_digest, RequestLog, RequestSummary, STAGE_NAMES};

@@ -1,103 +1,14 @@
-//! Lock-free serving observability: atomic counters plus fixed-bucket
-//! latency histograms per pipeline stage.
+//! Lock-free serving observability: atomic counters plus per-stage
+//! latency histograms ([`cyclesql_obs::Histogram`]).
 //!
-//! Recording is wait-free (one relaxed fetch-add per counter, two per
+//! Recording is wait-free (one relaxed fetch-add per counter, three per
 //! histogram sample); nothing on the request path takes a lock. Snapshots
-//! are serializable ([`MetricsSnapshot`]) and quantiles are estimated from
-//! the log₂ bucket boundaries, which is plenty for p50/p95/p99 reporting.
+//! are serializable ([`MetricsSnapshot`]).
 
 use cyclesql_core::StageTimings;
+use cyclesql_obs::{Histogram, HistogramSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-/// Histogram bucket count: bucket 0 covers sub-microsecond samples, bucket
-/// `b` in `1..=29` covers `[2^(b-1), 2^b)` microseconds, and the last
-/// bucket absorbs everything from `2^29` µs (≈9 minutes) up.
-pub const HISTOGRAM_BUCKETS: usize = 31;
-
-/// A fixed-bucket, lock-free latency histogram (microsecond resolution,
-/// log₂ bucket widths).
-#[derive(Debug, Default)]
-pub struct Histogram {
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    count: AtomicU64,
-    sum_us: AtomicU64,
-}
-
-fn bucket_index(us: u64) -> usize {
-    if us == 0 {
-        0
-    } else {
-        ((64 - us.leading_zeros()) as usize).min(HISTOGRAM_BUCKETS - 1)
-    }
-}
-
-/// Upper bound of a bucket, in microseconds.
-fn bucket_upper_us(b: usize) -> u64 {
-    1u64 << b
-}
-
-impl Histogram {
-    /// Records one sample.
-    pub fn record(&self, d: Duration) {
-        let us = d.as_micros().min(u128::from(u64::MAX)) as u64;
-        self.buckets[bucket_index(us)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_us.fetch_add(us, Ordering::Relaxed);
-    }
-
-    /// A serializable snapshot with estimated quantiles.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let count: u64 = counts.iter().sum();
-        let sum_us = self.sum_us.load(Ordering::Relaxed);
-        let quantile = |q: f64| -> f64 {
-            if count == 0 {
-                return 0.0;
-            }
-            let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
-            let mut cum = 0u64;
-            for (b, c) in counts.iter().enumerate() {
-                cum += c;
-                if cum >= rank {
-                    return bucket_upper_us(b) as f64 / 1e3;
-                }
-            }
-            bucket_upper_us(HISTOGRAM_BUCKETS - 1) as f64 / 1e3
-        };
-        HistogramSnapshot {
-            count,
-            mean_ms: if count == 0 {
-                0.0
-            } else {
-                sum_us as f64 / count as f64 / 1e3
-            },
-            p50_ms: quantile(0.50),
-            p95_ms: quantile(0.95),
-            p99_ms: quantile(0.99),
-        }
-    }
-}
-
-/// Snapshot of one histogram: count, mean, and bucket-resolution quantiles
-/// (each quantile reports its bucket's upper bound).
-#[derive(Debug, Clone)]
-pub struct HistogramSnapshot {
-    /// Samples recorded.
-    pub count: u64,
-    /// Mean latency in milliseconds (exact, from the running sum).
-    pub mean_ms: f64,
-    /// Median estimate (ms).
-    pub p50_ms: f64,
-    /// 95th-percentile estimate (ms).
-    pub p95_ms: f64,
-    /// 99th-percentile estimate (ms).
-    pub p99_ms: f64,
-}
 
 /// One histogram per pipeline stage, plus end-to-end request latency.
 #[derive(Debug, Default)]
@@ -287,84 +198,6 @@ pub struct MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bucket_index_is_log2() {
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 1);
-        assert_eq!(bucket_index(2), 2);
-        assert_eq!(bucket_index(3), 2);
-        assert_eq!(bucket_index(4), 3);
-        assert_eq!(bucket_index(1 << 40), HISTOGRAM_BUCKETS - 1);
-    }
-
-    /// Pins every one of the 31 bucket edges: bucket 0 is sub-µs, bucket
-    /// `b` in `1..=29` is exactly `[2^(b-1), 2^b)` µs, and the overflow
-    /// bucket starts at `2^29` µs (≈9 minutes) and reaches `u64::MAX`.
-    #[test]
-    fn bucket_edges_are_pinned_with_overflow() {
-        assert_eq!(bucket_index(0), 0, "bucket 0 holds sub-microsecond samples");
-        for b in 1..=(HISTOGRAM_BUCKETS - 2) {
-            let lo = 1u64 << (b - 1);
-            assert_eq!(bucket_index(lo), b, "lower edge of bucket {b}");
-            assert_eq!(bucket_index(lo * 2 - 1), b, "last value inside bucket {b}");
-            assert_eq!(bucket_index(lo - 1), b - 1, "value below bucket {b}");
-        }
-        let overflow = HISTOGRAM_BUCKETS - 1;
-        let overflow_lo = 1u64 << (overflow - 1);
-        assert_eq!(
-            bucket_index(overflow_lo),
-            overflow,
-            "overflow starts at 2^29 µs"
-        );
-        assert_eq!(bucket_index(overflow_lo - 1), overflow - 1);
-        assert_eq!(
-            bucket_index(u64::MAX),
-            overflow,
-            "overflow is unbounded above"
-        );
-
-        // Recording routes through the same mapping.
-        let h = Histogram::default();
-        h.record(Duration::from_micros(0));
-        h.record(Duration::from_micros(1));
-        h.record(Duration::from_micros(overflow_lo - 1));
-        h.record(Duration::from_secs(86_400));
-        assert_eq!(h.buckets[0].load(Ordering::Relaxed), 1);
-        assert_eq!(h.buckets[1].load(Ordering::Relaxed), 1);
-        assert_eq!(h.buckets[overflow - 1].load(Ordering::Relaxed), 1);
-        assert_eq!(h.buckets[overflow].load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn quantiles_bound_recorded_samples() {
-        let h = Histogram::default();
-        for ms in [1u64, 2, 3, 4, 100] {
-            h.record(Duration::from_millis(ms));
-        }
-        let s = h.snapshot();
-        assert_eq!(s.count, 5);
-        // p50 falls in the bucket holding 3–4 ms; its upper bound is 4.096.
-        assert!(s.p50_ms >= 3.0 && s.p50_ms <= 8.2, "{}", s.p50_ms);
-        // p99 lands in the 100 ms sample's bucket.
-        assert!(s.p99_ms >= 100.0, "{}", s.p99_ms);
-        assert!((s.mean_ms - 22.0).abs() < 0.5, "{}", s.mean_ms);
-    }
-
-    #[test]
-    fn concurrent_recording_loses_nothing() {
-        let h = Histogram::default();
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                scope.spawn(|| {
-                    for i in 0..500u64 {
-                        h.record(Duration::from_micros(i));
-                    }
-                });
-            }
-        });
-        assert_eq!(h.snapshot().count, 8 * 500);
-    }
 
     #[test]
     fn empty_snapshot_is_all_zero() {
