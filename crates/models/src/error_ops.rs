@@ -6,10 +6,15 @@
 //! comparison operators (the error-analysis `>=` vs `=` case), wrong join
 //! keys (`friend_id` vs `student_id`), wrong columns, perturbed literals,
 //! dropped predicates, flipped negations/orderings, and swapped set ops.
+//!
+//! Every operator mutates its query in place and returns whether it
+//! applied. `false` means the query is untouched, so a caller can try
+//! operator after operator on one copy and never clones to test one.
 
 use cyclesql_rng::StdRng;
 use cyclesql_sql::{
-    AggFunc, BinOp, Expr, FuncArg, JoinType, Literal, Query, QueryBody, SelectItem, SetOp,
+    AggFunc, BinOp, ColumnRef, Expr, FromClause, FuncArg, JoinType, Literal, Query, QueryBody,
+    SelectItem, SetOp,
 };
 use cyclesql_storage::Database;
 
@@ -78,62 +83,54 @@ impl ErrorOp {
     ];
 }
 
-/// Applies `op` to a copy of `query`; returns `None` when inapplicable.
-pub fn apply_error_op(
-    op: ErrorOp,
-    query: &Query,
-    db: &Database,
-    rng: &mut StdRng,
-) -> Option<Query> {
-    let mut q = query.clone();
-    let applied = match op {
-        ErrorOp::WrongAggregate => wrong_aggregate(&mut q, rng),
-        ErrorOp::PlainToCount => plain_to_count(&mut q),
-        ErrorOp::CountToPlain => count_to_plain(&mut q, db),
-        ErrorOp::RelaxComparison => relax_comparison(&mut q, rng),
-        ErrorOp::WrongColumn => wrong_column(&mut q, db, rng),
-        ErrorOp::WrongValue => wrong_value(&mut q, db, rng),
-        ErrorOp::DropConjunct => drop_conjunct(&mut q, rng),
+/// Applies `op` to `query` in place; returns `false`, leaving `query`
+/// untouched, when the operator does not apply.
+pub fn apply_error_op(op: ErrorOp, q: &mut Query, db: &Database, rng: &mut StdRng) -> bool {
+    match op {
+        ErrorOp::WrongAggregate => wrong_aggregate(q, rng),
+        ErrorOp::PlainToCount => plain_to_count(q),
+        ErrorOp::CountToPlain => count_to_plain(q, db),
+        ErrorOp::RelaxComparison => relax_comparison(q, rng),
+        ErrorOp::WrongColumn => wrong_column(q, db),
+        ErrorOp::WrongValue => wrong_value(q, db, rng),
+        ErrorOp::DropConjunct => drop_conjunct(q, rng),
         ErrorOp::ToggleDistinct => {
             let core = q.leading_select_mut();
             core.distinct = !core.distinct;
             true
         }
-        ErrorOp::FlipOrder => {
-            if q.order_by.is_empty() {
-                false
-            } else {
-                q.order_by[0].order = q.order_by[0].order.reversed();
+        ErrorOp::FlipOrder => match q.order_by.first_mut() {
+            Some(item) => {
+                item.order = item.order.reversed();
                 true
             }
-        }
-        ErrorOp::ChangeLimit => match q.limit {
+            None => false,
+        },
+        ErrorOp::ChangeLimit => match &mut q.limit {
             Some(n) => {
-                q.limit = Some(if n == 1 { 3 } else { 1 });
+                *n = if *n == 1 { 3 } else { 1 };
                 true
             }
             None => false,
         },
         ErrorOp::SwapSetOp => swap_set_op(&mut q.body),
-        ErrorOp::WrongJoinKey => wrong_join_key(&mut q, db, rng),
-        ErrorOp::FlipNegation => flip_negation(&mut q),
-        ErrorOp::ChangeHavingBound => change_having_bound(&mut q),
-        ErrorOp::WrongJoinFlavor => wrong_join_flavor(&mut q),
-        ErrorOp::WrongCaseBranch => wrong_case_branch(&mut q),
-        ErrorOp::DropCteFilter => drop_cte_filter(&mut q),
-    };
-    applied.then_some(q)
+        ErrorOp::WrongJoinKey => wrong_join_key(q, db),
+        ErrorOp::FlipNegation => flip_negation(q),
+        ErrorOp::ChangeHavingBound => change_having_bound(q),
+        ErrorOp::WrongJoinFlavor => wrong_join_flavor(q),
+        ErrorOp::WrongCaseBranch => wrong_case_branch(q),
+        ErrorOp::DropCteFilter => drop_cte_filter(q),
+    }
 }
 
-/// Applies a random applicable error operator (tries up to 24 draws).
-pub fn apply_random_error(query: &Query, db: &Database, rng: &mut StdRng) -> Option<Query> {
-    for _ in 0..24 {
+/// Applies a random applicable error operator to `query` in place (tries
+/// up to 24 draws); returns `false`, leaving `query` untouched, when none
+/// applied.
+pub fn apply_random_error(query: &mut Query, db: &Database, rng: &mut StdRng) -> bool {
+    (0..24).any(|_| {
         let op = ErrorOp::ALL[rng.gen_range(0..ErrorOp::ALL.len())];
-        if let Some(q) = apply_error_op(op, query, db, rng) {
-            return Some(q);
-        }
-    }
-    None
+        apply_error_op(op, query, db, rng)
+    })
 }
 
 fn wrong_aggregate(q: &mut Query, rng: &mut StdRng) -> bool {
@@ -144,15 +141,12 @@ fn wrong_aggregate(q: &mut Query, rng: &mut StdRng) -> bool {
             ..
         } = item
         {
-            let others: Vec<AggFunc> = AggFunc::ALL
-                .into_iter()
-                .filter(|f| f != func && !(matches!(arg, FuncArg::Star) && *f != AggFunc::Count))
-                .collect();
             if matches!(arg, FuncArg::Star) {
                 // count(*) can only become an aggregate over a column; skip
                 // here — PlainToCount/CountToPlain cover that direction.
                 continue;
             }
+            let others: Vec<AggFunc> = AggFunc::ALL.into_iter().filter(|f| f != func).collect();
             if let Some(&new) = others.first() {
                 let pick = others[rng.gen_range(0..others.len())];
                 *func = if rng.gen_bool(0.5) { pick } else { new };
@@ -183,28 +177,27 @@ fn plain_to_count(q: &mut Query) -> bool {
 }
 
 fn count_to_plain(q: &mut Query, db: &Database) -> bool {
-    let table = q.leading_select().from.base.name.clone();
     let core = q.leading_select_mut();
-    for item in &mut core.projections {
-        if let SelectItem::Expr {
+    let Some(expr) = core.projections.iter_mut().find_map(|item| match item {
+        SelectItem::Expr {
             expr: expr @ Expr::Agg { .. },
             ..
-        } = item
-        {
-            // Replace the aggregate with the first text-ish column of the
-            // base table (a plausible model mistake).
-            if let Some(schema) = db.schema.table(&table) {
-                if let Some(col) = schema.columns.first() {
-                    *expr = Expr::col(cyclesql_sql::ColumnRef {
-                        table: core.from.base.alias.clone().or(Some(table.clone())),
-                        column: col.name.clone(),
-                    });
-                    return true;
-                }
-            }
-        }
-    }
-    false
+        } => Some(expr),
+        _ => None,
+    }) else {
+        return false;
+    };
+    // Replace the aggregate with the first column of the base table (a
+    // plausible model mistake).
+    let base = &core.from.base;
+    let Some(col) = db.schema.table(&base.name).and_then(|t| t.columns.first()) else {
+        return false;
+    };
+    *expr = Expr::col(ColumnRef {
+        table: Some(base.visible_name().to_string()),
+        column: col.name.clone(),
+    });
+    true
 }
 
 fn relax_comparison(q: &mut Query, rng: &mut StdRng) -> bool {
@@ -256,155 +249,143 @@ fn sibling_column(db: &Database, table: &str, col: &str) -> Option<String> {
         .map(|c| c.name.clone())
 }
 
-fn wrong_column(q: &mut Query, db: &Database, _rng: &mut StdRng) -> bool {
+/// The real table a column reads: the table its qualifier names in `from`
+/// (by alias or by name), else the qualifier itself; `unqualified` when
+/// there is none.
+fn real_table<'a>(from: &'a FromClause, col: &'a ColumnRef, unqualified: &'a str) -> &'a str {
+    match &col.table {
+        Some(t) => from
+            .tables()
+            .into_iter()
+            .find(|r| r.visible_name() == t)
+            .map_or(t, |r| &r.name),
+        None => unqualified,
+    }
+}
+
+fn wrong_column(q: &mut Query, db: &Database) -> bool {
     // Swap the column in the first WHERE comparison to a same-typed sibling.
-    let tables: Vec<(String, String)> = q
-        .leading_select()
-        .from
-        .tables()
-        .iter()
-        .map(|t| (t.visible_name().to_string(), t.name.clone()))
-        .collect();
     let core = q.leading_select_mut();
     let Some(w) = &mut core.where_clause else {
         return false;
     };
-    let mut swapped = false;
-    swap_column_in(w, &tables, db, &mut swapped);
-    swapped
+    swap_column_in(w, &core.from, db)
 }
 
-fn swap_column_in(e: &mut Expr, tables: &[(String, String)], db: &Database, swapped: &mut bool) {
-    if *swapped {
-        return;
-    }
+fn swap_column_in(e: &mut Expr, from: &FromClause, db: &Database) -> bool {
     match e {
         Expr::Binary { op, left, right } if op.is_comparison() => {
-            if let (Expr::Column(c), Expr::Literal(_)) = (&mut **left, &**right) {
-                let real = match &c.table {
-                    Some(t) => tables
-                        .iter()
-                        .find(|(vis, _)| vis == t)
-                        .map(|(_, real)| real.clone())
-                        .unwrap_or_else(|| t.clone()),
-                    None => tables.first().map(|(_, r)| r.clone()).unwrap_or_default(),
-                };
-                if let Some(sib) = sibling_column(db, &real, &c.column) {
+            let (Expr::Column(c), Expr::Literal(_)) = (&mut **left, &**right) else {
+                return false;
+            };
+            match sibling_column(db, real_table(from, c, &from.base.name), &c.column) {
+                Some(sib) => {
                     c.column = sib;
-                    *swapped = true;
+                    true
                 }
+                None => false,
             }
         }
         Expr::Binary { left, right, .. } => {
-            swap_column_in(left, tables, db, swapped);
-            swap_column_in(right, tables, db, swapped);
+            swap_column_in(left, from, db) || swap_column_in(right, from, db)
         }
-        _ => {}
+        _ => false,
     }
 }
 
 fn wrong_value(q: &mut Query, db: &Database, rng: &mut StdRng) -> bool {
-    let tables: Vec<String> = q
-        .leading_select()
-        .from
-        .tables()
-        .iter()
-        .map(|t| t.name.clone())
-        .collect();
     let core = q.leading_select_mut();
     let Some(w) = &mut core.where_clause else {
         return false;
     };
-    let mut done = false;
-    perturb_value_in(w, &tables, db, rng, &mut done);
-    done
+    perturb_value_in(w, &core.from, db, rng)
 }
 
-fn perturb_value_in(
-    e: &mut Expr,
-    tables: &[String],
-    db: &Database,
-    rng: &mut StdRng,
-    done: &mut bool,
-) {
-    if *done {
-        return;
-    }
+fn perturb_value_in(e: &mut Expr, from: &FromClause, db: &Database, rng: &mut StdRng) -> bool {
     match e {
         Expr::Binary { op, left, right } if op.is_comparison() => {
-            if let (Expr::Column(c), Expr::Literal(lit)) = (&**left, &mut **right) {
-                match lit {
-                    Literal::Int(n) => {
-                        *n = if rng.gen_bool(0.5) {
-                            *n * 10
-                        } else {
-                            (*n / 2).max(1)
-                        };
-                        *done = true;
-                    }
-                    Literal::Float(x) => {
-                        *x *= if rng.gen_bool(0.5) { 10.0 } else { 0.5 };
-                        *done = true;
-                    }
-                    Literal::Str(s) => {
-                        // Another value from the same column, if any differs.
-                        for t in tables {
-                            if let Some(table) = db.table(t) {
-                                if let Some(ci) = table.schema.column_index(&c.column) {
-                                    for row in &table.rows {
-                                        let v = row[ci].to_string();
-                                        if v != *s && !v.is_empty() {
-                                            *s = v;
-                                            *done = true;
-                                            return;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        s.push_str(" X");
-                        *done = true;
-                    }
-                    _ => {}
+            let (Expr::Column(c), Expr::Literal(lit)) = (&**left, &mut **right) else {
+                return false;
+            };
+            match lit {
+                Literal::Int(n) => {
+                    *n = if rng.gen_bool(0.5) {
+                        *n * 10
+                    } else {
+                        (*n / 2).max(1)
+                    };
                 }
+                Literal::Float(x) => *x *= if rng.gen_bool(0.5) { 10.0 } else { 0.5 },
+                // Another value from the same column, if any differs.
+                Literal::Str(s) => match other_value(db, from, &c.column, s) {
+                    Some(v) => *s = v,
+                    None => s.push_str(" X"),
+                },
+                _ => return false,
             }
+            true
         }
         Expr::Binary { left, right, .. } => {
-            perturb_value_in(left, tables, db, rng, done);
-            perturb_value_in(right, tables, db, rng, done);
+            perturb_value_in(left, from, db, rng) || perturb_value_in(right, from, db, rng)
         }
         Expr::InSubquery { subquery, .. } => {
             // Perturb inside the subquery.
-            let sub_tables: Vec<String> = subquery
-                .leading_select()
-                .from
-                .tables()
-                .iter()
-                .map(|t| t.name.clone())
-                .collect();
             let core = subquery.leading_select_mut();
-            if let Some(w) = &mut core.where_clause {
-                perturb_value_in(w, &sub_tables, db, rng, done);
+            match &mut core.where_clause {
+                Some(w) => perturb_value_in(w, &core.from, db, rng),
+                None => false,
             }
         }
-        _ => {}
+        _ => false,
     }
+}
+
+/// The first non-empty value of `column`, in `from`'s tables, that differs
+/// from `current`.
+fn other_value(db: &Database, from: &FromClause, column: &str, current: &str) -> Option<String> {
+    from.tables()
+        .into_iter()
+        .filter_map(|t| db.table(&t.name))
+        .find_map(|table| {
+            let ci = table.schema.column_index(column)?;
+            table
+                .rows
+                .iter()
+                .map(|row| row[ci].to_string())
+                .find(|v| v != current && !v.is_empty())
+        })
 }
 
 fn drop_conjunct(q: &mut Query, rng: &mut StdRng) -> bool {
     let core = q.leading_select_mut();
-    let Some(w) = core.where_clause.take() else {
+    // An AND is exactly a WHERE with at least two conjuncts.
+    if !matches!(core.where_clause, Some(Expr::Binary { op: BinOp::And, .. })) {
         return false;
-    };
-    let mut parts: Vec<Expr> = w.conjuncts().into_iter().cloned().collect();
-    if parts.len() < 2 {
-        core.where_clause = Some(w);
-        return false;
+    }
+    let mut parts = Vec::new();
+    if let Some(w) = core.where_clause.take() {
+        split_conjuncts(w, &mut parts);
     }
     let drop = rng.gen_range(0..parts.len());
     parts.remove(drop);
     core.where_clause = Expr::from_conjuncts(parts);
     true
+}
+
+/// Moves `e`'s top-level conjuncts, in order, onto `out` (the owned
+/// [`Expr::conjuncts`]).
+fn split_conjuncts(e: Expr, out: &mut Vec<Expr>) {
+    match e {
+        Expr::Binary {
+            op: BinOp::And,
+            left,
+            right,
+        } => {
+            split_conjuncts(*left, out);
+            split_conjuncts(*right, out);
+        }
+        other => out.push(other),
+    }
 }
 
 fn swap_set_op(body: &mut QueryBody) -> bool {
@@ -420,43 +401,35 @@ fn swap_set_op(body: &mut QueryBody) -> bool {
     }
 }
 
-fn wrong_join_key(q: &mut Query, db: &Database, _rng: &mut StdRng) -> bool {
-    // Visible-name → real-table map for resolving alias qualifiers.
-    let alias_map: Vec<(String, String)> = q
-        .leading_select()
-        .from
-        .tables()
-        .iter()
-        .map(|t| (t.visible_name().to_string(), t.name.clone()))
-        .collect();
-    let core = q.leading_select_mut();
-    for join in &mut core.from.joins {
-        let Some(on) = &mut join.on else { continue };
-        if let Expr::Binary {
+fn wrong_join_key(q: &mut Query, db: &Database) -> bool {
+    // Find the first join-key column with a same-typed sibling, then swap
+    // it in.
+    let from = &q.leading_select().from;
+    let found = from.joins.iter().enumerate().find_map(|(j, join)| {
+        let Some(Expr::Binary {
             op: BinOp::Eq,
             left,
             right,
-        } = on
-        {
-            for side in [left, right] {
-                if let Expr::Column(c) = &mut **side {
-                    let real = match &c.table {
-                        Some(t) => alias_map
-                            .iter()
-                            .find(|(vis, _)| vis == t)
-                            .map(|(_, r)| r.clone())
-                            .unwrap_or_else(|| t.clone()),
-                        None => join.table.name.clone(),
-                    };
-                    if let Some(sib) = sibling_column(db, &real, &c.column) {
-                        c.column = sib;
-                        return true;
-                    }
-                }
-            }
+        }) = &join.on
+        else {
+            return None;
+        };
+        [left, right].into_iter().enumerate().find_map(|(side, e)| {
+            let Expr::Column(c) = &**e else { return None };
+            let sib = sibling_column(db, real_table(from, c, &join.table.name), &c.column)?;
+            Some((j, side, sib))
+        })
+    });
+    let Some((j, side, sib)) = found else {
+        return false;
+    };
+    if let Some(Expr::Binary { left, right, .. }) = &mut q.leading_select_mut().from.joins[j].on {
+        let key = if side == 0 { left } else { right };
+        if let Expr::Column(c) = &mut **key {
+            c.column = sib;
         }
     }
-    false
+    true
 }
 
 fn flip_negation(q: &mut Query) -> bool {
@@ -563,6 +536,7 @@ fn change_having_bound(q: &mut Query) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cyclesql_benchgen::{build_science_suite, build_spider_suite, SuiteConfig, Variant};
     use cyclesql_sql::{parse, to_sql};
     use cyclesql_storage::{execute, ColumnDef, DataType, DatabaseSchema, TableSchema, Value};
 
@@ -614,17 +588,29 @@ mod tests {
         StdRng::seed_from_u64(11)
     }
 
+    /// `op` applied to a copy of `q`, or `None` when it does not apply (the
+    /// copy is then checked to be untouched).
+    fn applied(op: ErrorOp, q: &Query, d: &Database) -> Option<Query> {
+        let mut wrong = q.clone();
+        if apply_error_op(op, &mut wrong, d, &mut rng()) {
+            Some(wrong)
+        } else {
+            assert_eq!(&wrong, q, "{op:?} did not apply but changed the query");
+            None
+        }
+    }
+
     #[test]
     fn plain_to_count_reproduces_figure2() {
         let q = parse("SELECT flno FROM flight WHERE origin = 'LA'").unwrap();
-        let wrong = apply_error_op(ErrorOp::PlainToCount, &q, &db(), &mut rng()).unwrap();
+        let wrong = applied(ErrorOp::PlainToCount, &q, &db()).unwrap();
         assert!(to_sql(&wrong).contains("count(*)"));
     }
 
     #[test]
     fn relax_comparison_changes_operator() {
         let q = parse("SELECT flno FROM flight WHERE aid = 3").unwrap();
-        let wrong = apply_error_op(ErrorOp::RelaxComparison, &q, &db(), &mut rng()).unwrap();
+        let wrong = applied(ErrorOp::RelaxComparison, &q, &db()).unwrap();
         let sql = to_sql(&wrong);
         assert!(sql.contains(">=") || sql.contains("<="), "{sql}");
     }
@@ -632,7 +618,7 @@ mod tests {
     #[test]
     fn wrong_column_swaps_same_type_sibling() {
         let q = parse("SELECT flno FROM flight WHERE origin = 'LA'").unwrap();
-        let wrong = apply_error_op(ErrorOp::WrongColumn, &q, &db(), &mut rng()).unwrap();
+        let wrong = applied(ErrorOp::WrongColumn, &q, &db()).unwrap();
         assert!(
             to_sql(&wrong).contains("destination = 'LA'"),
             "{}",
@@ -645,7 +631,7 @@ mod tests {
         let q = parse("SELECT count(*) FROM flight AS T1 JOIN aircraft AS T2 ON T1.aid = T2.aid")
             .unwrap();
         // flight has another Int column (flno) to confuse with aid.
-        let wrong = apply_error_op(ErrorOp::WrongJoinKey, &q, &db(), &mut rng()).unwrap();
+        let wrong = applied(ErrorOp::WrongJoinKey, &q, &db()).unwrap();
         let sql = to_sql(&wrong);
         assert!(
             sql.contains("t1.flno = t2.aid") || sql.contains("flno"),
@@ -656,7 +642,7 @@ mod tests {
     #[test]
     fn wrong_value_replaces_string_with_other_data_value() {
         let q = parse("SELECT flno FROM flight WHERE origin = 'LA'").unwrap();
-        let wrong = apply_error_op(ErrorOp::WrongValue, &q, &db(), &mut rng()).unwrap();
+        let wrong = applied(ErrorOp::WrongValue, &q, &db()).unwrap();
         let sql = to_sql(&wrong);
         assert!(!sql.contains("'LA'"), "{sql}");
     }
@@ -664,9 +650,9 @@ mod tests {
     #[test]
     fn drop_conjunct_requires_two() {
         let q = parse("SELECT flno FROM flight WHERE origin = 'LA'").unwrap();
-        assert!(apply_error_op(ErrorOp::DropConjunct, &q, &db(), &mut rng()).is_none());
+        assert!(applied(ErrorOp::DropConjunct, &q, &db()).is_none());
         let q2 = parse("SELECT flno FROM flight WHERE origin = 'LA' AND aid = 3").unwrap();
-        let wrong = apply_error_op(ErrorOp::DropConjunct, &q2, &db(), &mut rng()).unwrap();
+        let wrong = applied(ErrorOp::DropConjunct, &q2, &db()).unwrap();
         assert_eq!(
             wrong
                 .leading_select()
@@ -682,16 +668,16 @@ mod tests {
     #[test]
     fn swap_set_op_applies_only_to_set_queries() {
         let q = parse("SELECT flno FROM flight").unwrap();
-        assert!(apply_error_op(ErrorOp::SwapSetOp, &q, &db(), &mut rng()).is_none());
+        assert!(applied(ErrorOp::SwapSetOp, &q, &db()).is_none());
         let q2 = parse("SELECT flno FROM flight INTERSECT SELECT flno FROM flight").unwrap();
-        let wrong = apply_error_op(ErrorOp::SwapSetOp, &q2, &db(), &mut rng()).unwrap();
+        let wrong = applied(ErrorOp::SwapSetOp, &q2, &db()).unwrap();
         assert!(to_sql(&wrong).contains("UNION"));
     }
 
     #[test]
     fn flip_negation_inverts_in() {
         let q = parse("SELECT flno FROM flight WHERE aid IN (SELECT aid FROM aircraft)").unwrap();
-        let wrong = apply_error_op(ErrorOp::FlipNegation, &q, &db(), &mut rng()).unwrap();
+        let wrong = applied(ErrorOp::FlipNegation, &q, &db()).unwrap();
         assert!(to_sql(&wrong).contains("NOT IN"));
     }
 
@@ -709,11 +695,11 @@ mod tests {
                 "SELECT flno FROM flight AS T1 {from} aircraft AS T2 ON T1.aid = T2.aid"
             ))
             .unwrap();
-            let wrong = apply_error_op(ErrorOp::WrongJoinFlavor, &q, &d, &mut rng()).unwrap();
+            let wrong = applied(ErrorOp::WrongJoinFlavor, &q, &d).unwrap();
             assert!(to_sql(&wrong).contains(to), "{from}: {}", to_sql(&wrong));
         }
         let no_join = parse("SELECT flno FROM flight").unwrap();
-        assert!(apply_error_op(ErrorOp::WrongJoinFlavor, &no_join, &d, &mut rng()).is_none());
+        assert!(applied(ErrorOp::WrongJoinFlavor, &no_join, &d).is_none());
     }
 
     #[test]
@@ -721,12 +707,12 @@ mod tests {
         let d = db();
         let q = parse("SELECT CASE WHEN aid = 3 THEN 'a' WHEN aid = 4 THEN 'b' END FROM flight")
             .unwrap();
-        let wrong = apply_error_op(ErrorOp::WrongCaseBranch, &q, &d, &mut rng()).unwrap();
+        let wrong = applied(ErrorOp::WrongCaseBranch, &q, &d).unwrap();
         let sql = to_sql(&wrong);
         assert!(sql.find("'b'").unwrap() < sql.find("'a'").unwrap(), "{sql}");
         // Single branch: THEN and ELSE trade places.
         let q2 = parse("SELECT CASE WHEN aid = 3 THEN 'hit' ELSE 'miss' END FROM flight").unwrap();
-        let wrong2 = apply_error_op(ErrorOp::WrongCaseBranch, &q2, &d, &mut rng()).unwrap();
+        let wrong2 = applied(ErrorOp::WrongCaseBranch, &q2, &d).unwrap();
         assert!(
             to_sql(&wrong2).contains("THEN 'miss' ELSE 'hit'"),
             "{}",
@@ -741,16 +727,20 @@ mod tests {
             "WITH la AS (SELECT flno FROM flight WHERE origin = 'LA') SELECT count(*) FROM la",
         )
         .unwrap();
-        let wrong = apply_error_op(ErrorOp::DropCteFilter, &q, &d, &mut rng()).unwrap();
+        let wrong = applied(ErrorOp::DropCteFilter, &q, &d).unwrap();
         assert!(!to_sql(&wrong).contains("WHERE"), "{}", to_sql(&wrong));
         let plain = parse("SELECT flno FROM flight WHERE origin = 'LA'").unwrap();
-        assert!(apply_error_op(ErrorOp::DropCteFilter, &plain, &d, &mut rng()).is_none());
+        assert!(applied(ErrorOp::DropCteFilter, &plain, &d).is_none());
     }
 
     #[test]
     fn all_ops_produce_executable_sql_when_applicable() {
+        // Every operator, under three RNG seeds, on the fixture queries and
+        // on the golds of the quick Spider and Science dev splits: one that
+        // applies leaves SQL that parses back and runs, and one that does
+        // not apply leaves its query exactly as it was.
         let d = db();
-        let queries = [
+        let fixtures = [
             "SELECT flno FROM flight WHERE origin = 'LA' AND aid = 3",
             "SELECT count(*) FROM flight AS T1 JOIN aircraft AS T2 ON T1.aid = T2.aid WHERE T2.name = 'Airbus A340-300'",
             "SELECT max(aid) FROM flight GROUP BY origin HAVING count(*) > 1 ORDER BY max(aid) DESC LIMIT 1",
@@ -761,15 +751,37 @@ mod tests {
             "SELECT T1.flno FROM flight AS T1 FULL OUTER JOIN aircraft AS T2 ON T1.aid = T2.aid",
             "SELECT T1.flno FROM flight AS T1 RIGHT JOIN aircraft AS T2 ON T1.aid = T2.aid",
         ];
-        for sql in queries {
+        let quick = SuiteConfig {
+            seed: 0xC1C1E,
+            train_per_template: 1,
+            eval_per_template: 1,
+        };
+        let suites = [
+            build_spider_suite(Variant::Spider, quick),
+            build_science_suite(quick),
+        ];
+        let mut cases: Vec<(&str, &Database)> = fixtures.iter().map(|sql| (*sql, &d)).collect();
+        for suite in &suites {
+            cases.extend(
+                suite
+                    .dev
+                    .iter()
+                    .map(|i| (i.gold_sql.as_str(), suite.database(i))),
+            );
+        }
+        for (sql, d) in cases {
             let q = parse(sql).unwrap();
             for op in ErrorOp::ALL {
-                let mut r = rng();
-                if let Some(wrong) = apply_error_op(op, &q, &d, &mut r) {
+                for seed in [11, 12, 13] {
+                    let mut wrong = q.clone();
+                    if !apply_error_op(op, &mut wrong, d, &mut StdRng::seed_from_u64(seed)) {
+                        assert_eq!(wrong, q, "{op:?} on {sql}: not applied, yet changed");
+                        continue;
+                    }
                     let rendered = to_sql(&wrong);
                     let reparsed = parse(&rendered)
                         .unwrap_or_else(|e| panic!("{op:?} on {sql}: unparseable {rendered}: {e}"));
-                    execute(&d, &reparsed)
+                    execute(d, &reparsed)
                         .unwrap_or_else(|e| panic!("{op:?} on {sql}: {rendered}: {e}"));
                 }
             }
@@ -781,7 +793,7 @@ mod tests {
         let q = parse("SELECT flno FROM flight WHERE origin = 'LA'").unwrap();
         let mut r = rng();
         for _ in 0..20 {
-            assert!(apply_random_error(&q, &db(), &mut r).is_some());
+            assert!(apply_random_error(&mut q.clone(), &db(), &mut r));
         }
     }
 }

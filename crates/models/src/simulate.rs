@@ -317,8 +317,9 @@ impl ExactSizeIterator for Beam<'_> {}
 /// The drawn AST is the candidate: its print is the candidate's text and
 /// its cache key, and it is never reparsed (every error operator emits an
 /// AST that equals the parse of its print). The gold run is supplied by
-/// the caller (computed at most once per translation); each attempt runs
-/// through `source`, and the accepted attempt's run travels with the
+/// the caller (computed at most once per translation). Each attempt clones
+/// the gold once and applies its operators to that copy in place, then runs
+/// it through `source`; the accepted attempt's run travels with the
 /// candidate.
 fn wrong_candidate(
     gold: &Query,
@@ -329,14 +330,12 @@ fn wrong_candidate(
     stats: &mut SimStats,
 ) -> (String, Option<Arc<Query>>, Option<Arc<CachedRun>>) {
     for _attempt in 0..4 {
-        let mut q = match apply_random_error(gold, db, rng) {
-            Some(q) => q,
-            None => break,
-        };
+        let mut q = gold.clone();
+        if !apply_random_error(&mut q, db, rng) {
+            break;
+        }
         if rng.gen_bool(0.35) {
-            if let Some(q2) = apply_random_error(&q, db, rng) {
-                q = q2;
-            }
+            apply_random_error(&mut q, db, rng);
         }
         let sql = to_sql(&q);
         let run = source.run(db, &sql, &q, &ExecOpts::default()).0;
@@ -354,8 +353,10 @@ fn wrong_candidate(
         return (sql, Some(Arc::new(q)), Some(run));
     }
     // Fallback: a structurally-different but valid query (count over base).
-    let base = gold.leading_select().from.base.clone();
-    let sql = format!("SELECT count(*) FROM {}", base.name);
+    let sql = format!(
+        "SELECT count(*) FROM {}",
+        gold.leading_select().from.base.name
+    );
     let ast = parse(&sql).ok().map(Arc::new);
     (sql, ast, None)
 }

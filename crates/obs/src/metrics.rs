@@ -37,12 +37,11 @@ pub fn latency_bucket_le_us(b: usize) -> u64 {
 }
 
 /// A fixed-bucket, lock-free latency histogram (microsecond resolution,
-/// [`latency_bucket`] layout). Recording is wait-free: three relaxed
-/// fetch-adds, no lock.
+/// [`latency_bucket`] layout). Recording is wait-free: two relaxed
+/// fetch-adds, no lock; the sample count is the buckets' sum.
 #[derive(Debug, Default)]
 pub struct Histogram {
     buckets: [AtomicU64; LATENCY_BUCKETS],
-    count: AtomicU64,
     sum_us: AtomicU64,
 }
 
@@ -52,7 +51,6 @@ impl Histogram {
     pub fn record(&self, d: Duration) {
         let us = d.as_micros().min(u128::from(u64::MAX)) as u64;
         self.buckets[latency_bucket(us)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_us.fetch_add(us, Ordering::Relaxed);
     }
 

@@ -5,7 +5,10 @@
 //! of the same query share one entry, while the same SQL against two
 //! catalog databases never does. Each shard is an intrusive doubly-linked
 //! LRU behind its own mutex; hit/miss counters are atomics incremented
-//! exactly once per lookup, so they stay exact under concurrency.
+//! exactly once per lookup, so they stay exact under concurrency. A lookup
+//! borrows its `(db_id, sql)` pair and hashes it once: that hash picks the
+//! shard and, unhashed again, the shard's slot. Only a miss's insert owns
+//! a copy of the key.
 //!
 //! The engine caches query *results* ([`ResultCache`]), not compiled
 //! plans: a served [`Catalog`](crate::Catalog) never changes after start
@@ -20,7 +23,7 @@ use cyclesql_sql::{to_sql, Query};
 use cyclesql_storage::{CompiledQuery, Database, ExecOpts};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -43,6 +46,34 @@ impl PlanKey {
     }
 }
 
+/// The one hash of a key: its high half picks the shard, and the shard's
+/// map uses it whole to pick the slot.
+fn key_hash(db_id: &str, sql: &str) -> u64 {
+    let mut h = DefaultHasher::new();
+    db_id.hash(&mut h);
+    sql.hash(&mut h);
+    h.finish()
+}
+
+/// A hasher for keys that already are [`key_hash`]es: it passes them
+/// through.
+#[derive(Default)]
+struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a shard map's keys are u64 hashes")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
 const NIL: usize = usize::MAX;
 
 struct Node<V> {
@@ -55,7 +86,9 @@ struct Node<V> {
 /// One LRU shard: slab-backed intrusive list, most-recent at `head`.
 struct Shard<V> {
     capacity: usize,
-    map: HashMap<PlanKey, usize>,
+    /// Key hash → slot. No two live entries share a hash: a key whose hash
+    /// is already taken replaces the entry that holds it.
+    map: HashMap<u64, usize, BuildHasherDefault<Prehashed>>,
     nodes: Vec<Node<V>>,
     free: Vec<usize>,
     head: usize,
@@ -66,7 +99,7 @@ impl<V: Clone> Shard<V> {
     fn new(capacity: usize) -> Self {
         Shard {
             capacity,
-            map: HashMap::new(),
+            map: HashMap::default(),
             nodes: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -100,18 +133,25 @@ impl<V: Clone> Shard<V> {
         }
     }
 
-    fn lookup(&mut self, key: &PlanKey) -> Option<V> {
-        let slot = *self.map.get(key)?;
+    fn lookup(&mut self, hash: u64, db_id: &str, sql: &str) -> Option<V> {
+        let slot = *self.map.get(&hash)?;
+        let key = &self.nodes[slot].key;
+        if key.db_id != db_id || key.sql != sql {
+            return None;
+        }
         self.unlink(slot);
         self.push_front(slot);
         Some(self.nodes[slot].value.clone())
     }
 
-    fn insert(&mut self, key: PlanKey, value: V) {
+    fn insert(&mut self, hash: u64, key: PlanKey, value: V) {
         if self.capacity == 0 {
             return;
         }
-        if let Some(&slot) = self.map.get(&key) {
+        if let Some(&slot) = self.map.get(&hash) {
+            // The same key is refreshed; another key with its hash takes
+            // the slot over.
+            self.nodes[slot].key = key;
             self.nodes[slot].value = value;
             self.unlink(slot);
             self.push_front(slot);
@@ -120,12 +160,15 @@ impl<V: Clone> Shard<V> {
         if self.map.len() >= self.capacity {
             let victim = self.tail;
             self.unlink(victim);
-            let old = self.map.remove(&self.nodes[victim].key);
+            let old = self.map.remove(&key_hash(
+                &self.nodes[victim].key.db_id,
+                &self.nodes[victim].key.sql,
+            ));
             debug_assert_eq!(old, Some(victim));
             self.free.push(victim);
         }
         let node = Node {
-            key: key.clone(),
+            key,
             value,
             prev: NIL,
             next: NIL,
@@ -140,18 +183,18 @@ impl<V: Clone> Shard<V> {
                 self.nodes.len() - 1
             }
         };
-        self.map.insert(key, slot);
+        self.map.insert(hash, slot);
         self.push_front(slot);
     }
 
     /// Inserts `value` unless the key is already cached, and returns the
     /// cached value either way: concurrent fills of one key converge on
     /// the first one inserted.
-    fn insert_or_get(&mut self, key: PlanKey, value: V) -> V {
-        if let Some(existing) = self.lookup(&key) {
+    fn insert_or_get(&mut self, hash: u64, key: PlanKey, value: V) -> V {
+        if let Some(existing) = self.lookup(hash, &key.db_id, &key.sql) {
             return existing;
         }
-        self.insert(key, value.clone());
+        self.insert(hash, key, value.clone());
         value
     }
 
@@ -194,19 +237,21 @@ impl<V: Clone> ShardedLru<V> {
         }
     }
 
-    fn shard_for(&self, key: &PlanKey) -> &Mutex<Shard<V>> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
+    fn shard(&self, hash: u64) -> &Mutex<Shard<V>> {
+        &self.shards[(hash >> 32) as usize % self.shards.len()]
     }
 
     /// Looks up an entry, counting exactly one hit or miss.
     pub fn lookup(&self, key: &PlanKey) -> Option<V> {
+        self.lookup_hashed(key_hash(&key.db_id, &key.sql), &key.db_id, &key.sql)
+    }
+
+    fn lookup_hashed(&self, hash: u64, db_id: &str, sql: &str) -> Option<V> {
         let found = self
-            .shard_for(key)
+            .shard(hash)
             .lock()
             .expect("shard poisoned")
-            .lookup(key);
+            .lookup(hash, db_id, sql);
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -217,28 +262,38 @@ impl<V: Clone> ShardedLru<V> {
     /// Inserts (or refreshes) an entry, evicting the shard's least-recently
     /// used entry when at capacity.
     pub fn insert(&self, key: PlanKey, value: V) {
-        self.shard_for(&key)
+        let hash = key_hash(&key.db_id, &key.sql);
+        self.shard(hash)
             .lock()
             .expect("shard poisoned")
-            .insert(key, value);
+            .insert(hash, key, value);
     }
 
-    /// One lookup (hit or miss counted exactly once); a miss computes the
-    /// value with `fill` outside the shard lock and caches it, unless a
-    /// concurrent miss cached the key first — then that value is returned,
-    /// so every caller shares one entry. Returns the value and whether it
-    /// was a hit.
-    pub fn get_or_insert_with(&self, key: PlanKey, fill: impl FnOnce() -> V) -> (V, bool) {
-        if let Some(value) = self.lookup(&key) {
+    /// One lookup of the borrowed `(db_id, sql)` key (hit or miss counted
+    /// exactly once); a miss computes the value with `fill` outside the
+    /// shard lock and caches it under an owned key, unless a concurrent
+    /// miss cached the key first — then that value is returned, so every
+    /// caller shares one entry. Returns the value and whether it was a hit.
+    pub fn get_or_insert_with(
+        &self,
+        db_id: &str,
+        sql: &str,
+        fill: impl FnOnce() -> V,
+    ) -> (V, bool) {
+        let hash = key_hash(db_id, sql);
+        if let Some(value) = self.lookup_hashed(hash, db_id, sql) {
             return (value, true);
         }
         let value = fill();
-        let shard = self.shard_for(&key);
+        let key = PlanKey {
+            db_id: db_id.to_owned(),
+            sql: sql.to_owned(),
+        };
         (
-            shard
+            self.shard(hash)
                 .lock()
                 .expect("shard poisoned")
-                .insert_or_get(key, value),
+                .insert_or_get(hash, key, value),
             false,
         )
     }
@@ -279,11 +334,7 @@ impl ResultCache {
         query: &Query,
         opts: &ExecOpts<'_>,
     ) -> (Option<Arc<CachedRun>>, bool) {
-        let key = PlanKey {
-            db_id: db.schema.name.clone(),
-            sql: sql.to_owned(),
-        };
-        self.get_or_insert_with(key, || CachedRun::execute(db, query, opts))
+        self.get_or_insert_with(&db.schema.name, sql, || CachedRun::execute(db, query, opts))
     }
 }
 
@@ -388,6 +439,24 @@ mod tests {
             "b evicted (least recent)"
         );
         assert!(cache.lookup(&key("c")).is_some());
+    }
+
+    #[test]
+    fn a_key_whose_hash_is_taken_replaces_its_entry() {
+        // Two keys forced onto one hash: the second takes the slot over,
+        // and the first then misses instead of reading the second's value.
+        let mut shard = Shard::new(4);
+        let key = |sql: &str| PlanKey {
+            db_id: "clash".into(),
+            sql: sql.into(),
+        };
+        shard.insert(7, key("a"), 1);
+        assert_eq!(shard.lookup(7, "clash", "a"), Some(1));
+        shard.insert(7, key("b"), 2);
+        assert_eq!(shard.lookup(7, "clash", "a"), None);
+        assert_eq!(shard.lookup(7, "clash", "b"), Some(2));
+        assert_eq!(shard.lookup(7, "other", "b"), None);
+        assert_eq!(shard.len(), 1);
     }
 
     #[test]

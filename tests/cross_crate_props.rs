@@ -39,9 +39,9 @@ fn error_ops_preserve_executability() {
         let s = suite();
         let item = &s.dev[item_idx % s.dev.len()];
         let db = s.database(item);
-        let gold = parse(&item.gold_sql).unwrap();
+        let mut wrong = parse(&item.gold_sql).unwrap();
         let mut error_rng = StdRng::seed_from_u64(seed);
-        if let Some(wrong) = apply_random_error(&gold, db, &mut error_rng) {
+        if apply_random_error(&mut wrong, db, &mut error_rng) {
             let sql = to_sql(&wrong);
             let reparsed =
                 parse(&sql).unwrap_or_else(|e| panic!("error op broke parsing: {sql}: {e}"));
